@@ -1,27 +1,24 @@
-"""Parallel execution backends over the shared permutation partitioner.
+"""One two-level executor over the shared permutation partitioner.
 
-Three layouts mirror the classic HPC paradigms at desk scale:
+solve() splits the index space once into processes x threads contiguous
+ranges (hybrid_ranges) and runs each process's span on one of two
+process transports with one of two team transports:
 
-* shared_memory: forked workers that inherit the cost matrix through
-  copy-on-write and report back over private pipes.  This is the
-  closest Python analog of a thread team sharing one address space;
-  CPython's interpreter lock prevents OS threads from running the scan
-  loop in parallel, so "threads" here are forked processes sharing the
-  read-only instance.  A team of one runs inline on the caller.
-* message_passing: fully isolated child interpreters spawned by
-  self-invocation.  Everything, the matrix included, crosses explicit
-  line-delimited JSON channels (see protocol.py).  The coordinator is a
-  pure master: it partitions, distributes, collects and reduces, but
+* process: on the caller, or in a worker interpreter spawned by
+  self-invocation.  A worker gets everything, the matrix included,
+  over line-delimited JSON (see protocol.py), so the coordinator stays
+  a pure master: it partitions, distributes, collects and reduces, but
   evaluates no permutations itself.
-* hybrid: message-passing workers that each host a local shared-memory
-  team.  The index space is flat-partitioned across all processes x
-  threads elements in a single call, so the assignment multiset is
-  exactly the one shared_memory(processes * threads) would use.
+* team: inline for a team of one, else forked workers that inherit the
+  matrix copy-on-write and report over private pipes.  CPython's
+  interpreter lock keeps OS threads from running the scan in parallel,
+  so a fork team is the working analog of threads sharing memory.
 
-Every backend returns results bit-identical to the serial solver: each
-worker scans a disjoint index range and the reduction takes the minimum
-by (cost, permutation), which is associative and commutative, so the
-combination order never matters.
+shared_memory is caller x team, message_passing is worker x inline and
+hybrid is worker x team; serial is the reference scan.  Every backend
+is bit-identical to serial: each worker scans a disjoint range and the
+reduction takes the minimum by (cost, permutation), which is
+associative and commutative, so the combination order never matters.
 """
 
 from __future__ import annotations
@@ -72,13 +69,7 @@ class BackendSpec:
 
     @property
     def parallel_elements(self) -> int:
-        if self.kind == "serial":
-            return 1
-        if self.kind == "shared_memory":
-            return self.threads
-        if self.kind == "message_passing":
-            return self.processes
-        return self.processes * self.threads
+        return (self.processes or 1) * (self.threads or 1)
 
     def label(self) -> str:
         """Compact token form, the same grammar parse_backend_spec reads."""
@@ -112,34 +103,44 @@ def parse_backend_spec(token: str) -> BackendSpec:
     )
 
 
-@dataclass(frozen=True)
-class WorkerReport:
-    """What one worker did: its range and its local optimum."""
-
-    worker_id: int
-    range: WorkRange
-    local_best: SolveResult
-
-    def __post_init__(self):
-        if self.local_best.evaluated != self.range.count:
-            raise ValidationError(
-                f"worker {self.worker_id} evaluated {self.local_best.evaluated} "
-                f"permutations but owned {self.range.count}"
-            )
-
-
 def solve(matrix: CostMatrix, spec: BackendSpec) -> SolveResult:
     """Run one solve with the given backend configuration."""
     if spec.kind == "serial":
         return solve_serial(matrix)
+    check_city_count(matrix.n)
+    threads = spec.threads or 1
+    groups = hybrid_ranges(factorial(matrix.n - 1), spec.processes or 1, threads)
+    spans = [WorkRange(group[0].start, group[-1].end) for group in groups]
     if spec.kind == "shared_memory":
-        return solve_shared_memory(matrix, spec.threads)
-    if spec.kind == "message_passing":
-        return solve_message_passing(matrix, spec.processes)
-    return solve_hybrid(matrix, spec.processes, spec.threads)
+        return solve_interval_team(matrix, spans[0], threads)
+    return reduce_results(_wire_workers(matrix, spans, threads))
 
 
-# --- shared memory ---------------------------------------------------------
+def hybrid_ranges(total: int, processes: int, threads: int) -> list[list[WorkRange]]:
+    """Per-process lists of per-thread ranges, the split solve() runs.
+
+    One flat partition into processes * threads ranges, grouped in
+    order: process j owns ranges j*threads .. (j+1)*threads - 1.  The
+    flattened result is identical to partition(total, processes * threads).
+    """
+    if processes < 1 or threads < 1:
+        raise ValidationError(
+            f"processes and threads must be >= 1, got {processes} and {threads}"
+        )
+    flat = partition(total, processes * threads)
+    return [flat[j * threads : (j + 1) * threads] for j in range(processes)]
+
+
+def _counted(idx: int, work: WorkRange, result: SolveResult) -> SolveResult:
+    """Check that worker ``idx`` scanned exactly its range."""
+    if result.evaluated != work.count:
+        raise ExecutionError(
+            f"worker {idx} evaluated {result.evaluated} permutations, expected {work.count}"
+        )
+    return result
+
+
+# --- teams -----------------------------------------------------------------
 
 
 def _team_child(matrix, work, conn):
@@ -170,7 +171,7 @@ def _fork_team(matrix: CostMatrix, ranges: list[WorkRange]) -> list[SolveResult]
             send.close()
             team.append((proc, recv))
         results = []
-        for idx, (proc, recv) in enumerate(team):
+        for idx, ((proc, recv), work) in enumerate(zip(team, ranges)):
             proc.join()
             if proc.exitcode != 0:
                 raise ExecutionError(
@@ -178,7 +179,7 @@ def _fork_team(matrix: CostMatrix, ranges: list[WorkRange]) -> list[SolveResult]
                 )
             if not recv.poll():
                 raise ExecutionError(f"shared-memory worker {idx} sent no result")
-            results.append(recv.recv())
+            results.append(_counted(idx, work, recv.recv()))
         return results
     finally:
         for proc, recv in team:
@@ -188,43 +189,21 @@ def _fork_team(matrix: CostMatrix, ranges: list[WorkRange]) -> list[SolveResult]
             recv.close()
 
 
-def _interval_team(matrix, work: WorkRange, threads: int):
-    sub = [WorkRange(work.start + r.start, work.start + r.end) for r in partition(work.count, threads)]
-    if threads == 1:
-        results = [solve_range(matrix, sub[0])]
-    else:
-        results = _fork_team(matrix, sub)
-    reports = [WorkerReport(i, rng, res) for i, (rng, res) in enumerate(zip(sub, results))]
-    return reduce_results(results), reports
-
-
 def solve_interval_team(matrix: CostMatrix, work: WorkRange, threads: int) -> SolveResult:
     """Scan [work.start, work.end) with a local team of ``threads``
     workers.  The interval is split by the same quotient/remainder rule
     as the global partitioner, so a hybrid worker's local split lines
-    up exactly with the flat global partition."""
+    up exactly with the flat global partition.  A team of one runs
+    inline; a larger team forks."""
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    result, _ = _interval_team(matrix, work, threads)
-    return result
+    sub = [WorkRange(work.start + r.start, work.start + r.end) for r in partition(work.count, threads)]
+    if threads == 1:
+        return _counted(0, sub[0], solve_range(matrix, sub[0]))
+    return reduce_results(_fork_team(matrix, sub))
 
 
-def solve_shared_memory_with_reports(matrix: CostMatrix, threads: int):
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
-    check_city_count(matrix.n)
-    total = factorial(matrix.n - 1)
-    return _interval_team(matrix, WorkRange(0, total), threads)
-
-
-def solve_shared_memory(matrix: CostMatrix, threads: int) -> SolveResult:
-    """Partition the permutation space over ``threads`` workers sharing
-    the read-only matrix, then reduce their local optima."""
-    result, _ = solve_shared_memory_with_reports(matrix, threads)
-    return result
-
-
-# --- message passing -------------------------------------------------------
+# --- worker interpreters ---------------------------------------------------
 
 
 def worker_command() -> list[str]:
@@ -244,9 +223,10 @@ def _worker_env() -> dict:
     return env
 
 
-def _wire_workers(matrix: CostMatrix, assignments: list[tuple[WorkRange, int]]) -> list[SolveResult]:
-    """Spawn one child interpreter per assignment, send each a task,
-    collect exactly one result per worker, then shut them down.
+def _wire_workers(matrix: CostMatrix, spans: list[WorkRange], threads: int) -> list[SolveResult]:
+    """Spawn one child interpreter per span, send each its span and the
+    team size ``threads``, collect exactly one result per worker, then
+    shut them down.
 
     Fail-fast: the first worker error, protocol violation or premature
     exit aborts the solve and discards partial results.
@@ -255,7 +235,7 @@ def _wire_workers(matrix: CostMatrix, assignments: list[tuple[WorkRange, int]]) 
     env = _worker_env()
     workers: list[subprocess.Popen] = []
     try:
-        for idx in range(len(assignments)):
+        for idx in range(len(spans)):
             try:
                 workers.append(
                     subprocess.Popen(
@@ -269,14 +249,14 @@ def _wire_workers(matrix: CostMatrix, assignments: list[tuple[WorkRange, int]]) 
                 )
             except OSError as exc:
                 raise ExecutionError(f"failed to spawn worker {idx}: {exc}") from exc
-        for idx, (proc, (work, threads)) in enumerate(zip(workers, assignments)):
+        for idx, (proc, work) in enumerate(zip(workers, spans)):
             try:
                 proc.stdin.write(task_message(matrix.costs, work, threads))
                 proc.stdin.flush()
             except OSError as exc:
                 raise ExecutionError(f"worker {idx} closed its input: {exc}") from exc
         results = []
-        for idx, (proc, (work, threads)) in enumerate(zip(workers, assignments)):
+        for idx, (proc, work) in enumerate(zip(workers, spans)):
             line = proc.stdout.readline()
             if not line:
                 raise ExecutionError(
@@ -294,11 +274,7 @@ def _wire_workers(matrix: CostMatrix, assignments: list[tuple[WorkRange, int]]) 
                 result = decode_result(msg)
             except (ProtocolError, ValidationError) as exc:
                 raise ProtocolError(f"worker {idx}: {exc}") from None
-            if result.evaluated != work.count:
-                raise ProtocolError(
-                    f"worker {idx} evaluated {result.evaluated} permutations, expected {work.count}"
-                )
-            results.append(result)
+            results.append(_counted(idx, work, result))
         for proc in workers:
             try:
                 proc.stdin.write(shutdown_message())
@@ -321,51 +297,20 @@ def _wire_workers(matrix: CostMatrix, assignments: list[tuple[WorkRange, int]]) 
                 proc.wait()
 
 
-def solve_message_passing_with_reports(matrix: CostMatrix, processes: int):
-    if processes < 1:
-        raise ValidationError(f"processes must be >= 1, got {processes}")
-    check_city_count(matrix.n)
-    total = factorial(matrix.n - 1)
-    ranges = partition(total, processes)
-    results = _wire_workers(matrix, [(work, 1) for work in ranges])
-    reports = [WorkerReport(i, rng, res) for i, (rng, res) in enumerate(zip(ranges, results))]
-    return reduce_results(results), reports
+# --- per-backend shorthands ------------------------------------------------
+
+
+def solve_shared_memory(matrix: CostMatrix, threads: int) -> SolveResult:
+    """Partition the permutation space over ``threads`` workers sharing
+    the read-only matrix, then reduce their local optima."""
+    return solve(matrix, BackendSpec("shared_memory", threads=threads))
 
 
 def solve_message_passing(matrix: CostMatrix, processes: int) -> SolveResult:
     """Distribute the matrix and one index range to each of
     ``processes`` isolated worker interpreters, then reduce the
     collected results on the coordinator."""
-    result, _ = solve_message_passing_with_reports(matrix, processes)
-    return result
-
-
-# --- hybrid ----------------------------------------------------------------
-
-
-def hybrid_ranges(total: int, processes: int, threads: int) -> list[list[WorkRange]]:
-    """Per-process lists of per-thread ranges for the hybrid backend.
-
-    One flat partition into processes * threads ranges, grouped in
-    order: process j owns ranges j*threads .. (j+1)*threads - 1.  The
-    flattened result is identical to partition(total, processes * threads).
-    """
-    if processes < 1 or threads < 1:
-        raise ValidationError(
-            f"processes and threads must be >= 1, got {processes} and {threads}"
-        )
-    flat = partition(total, processes * threads)
-    return [flat[j * threads : (j + 1) * threads] for j in range(processes)]
-
-
-def solve_hybrid_with_reports(matrix: CostMatrix, processes: int, threads: int):
-    check_city_count(matrix.n)
-    total = factorial(matrix.n - 1)
-    groups = hybrid_ranges(total, processes, threads)
-    spans = [WorkRange(group[0].start, group[-1].end) for group in groups]
-    results = _wire_workers(matrix, [(span, threads) for span in spans])
-    reports = [WorkerReport(j, span, res) for j, (span, res) in enumerate(zip(spans, results))]
-    return reduce_results(results), reports
+    return solve(matrix, BackendSpec("message_passing", processes=processes))
 
 
 def solve_hybrid(matrix: CostMatrix, processes: int, threads: int) -> SolveResult:
@@ -373,5 +318,4 @@ def solve_hybrid(matrix: CostMatrix, processes: int, threads: int) -> SolveResul
     local team of ``threads``.  Workers reduce locally, the coordinator
     reduces their answers, and the flat partition guarantees the same
     work assignment as shared_memory(processes * threads)."""
-    result, _ = solve_hybrid_with_reports(matrix, processes, threads)
-    return result
+    return solve(matrix, BackendSpec("hybrid", processes=processes, threads=threads))

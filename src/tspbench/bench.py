@@ -231,6 +231,8 @@ def report_from_json(text: str) -> Report:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed report JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"report JSON must be an object, got {type(data).__name__}")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported report schema {data.get('schema_version')!r}, expected {SCHEMA_VERSION!r}"

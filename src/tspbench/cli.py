@@ -32,7 +32,7 @@ def _cmd_gen(args) -> int:
     from .core import format_instance
     from .instances import generate_instance
 
-    matrix = generate_instance(args.n, args.seed, symmetric=not args.asymmetric)
+    matrix = generate_instance(args.n, args.seed, symmetric=args.symmetric)
     _write_file(args.out, format_instance(matrix))
     return 0
 
@@ -53,12 +53,12 @@ def _cmd_solve(args) -> int:
 
     from . import backends
 
-    spec_kwargs = {}
-    if args.backend in ("shared_memory", "hybrid"):
-        spec_kwargs["threads"] = args.threads
-    if args.backend in ("message_passing", "hybrid"):
-        spec_kwargs["processes"] = args.procs
-    spec = backends.BackendSpec(args.backend, **spec_kwargs)
+    threads, procs = args.threads, args.procs
+    if threads is None and args.backend in ("shared_memory", "hybrid"):
+        threads = 1
+    if procs is None and args.backend in ("message_passing", "hybrid"):
+        procs = 1
+    spec = backends.BackendSpec(args.backend, threads=threads, processes=procs)
     matrix = _load_matrix(args.input)
     t0 = time.perf_counter()
     result = backends.solve(matrix, spec)
@@ -135,10 +135,11 @@ def _build_parser():
     gen = sub.add_parser("gen", help="generate a random instance file")
     gen.add_argument("--n", type=int, required=True, help="number of cities (2..34)")
     gen.add_argument("--seed", type=int, default=0, help="64-bit generator seed")
-    gen.add_argument("--symmetric", action="store_true", default=True,
-                     help="mirror the upper triangle (default)")
-    gen.add_argument("--asymmetric", action="store_true",
-                     help="draw every off-diagonal entry independently")
+    shape = gen.add_mutually_exclusive_group()
+    shape.add_argument("--symmetric", dest="symmetric", action="store_true", default=True,
+                       help="mirror the upper triangle (default)")
+    shape.add_argument("--asymmetric", dest="symmetric", action="store_false",
+                       help="draw every off-diagonal entry independently")
     gen.add_argument("--out", required=True, help="output instance file")
     gen.set_defaults(func=_cmd_gen)
 
@@ -146,10 +147,10 @@ def _build_parser():
     solve.add_argument("--input", required=True, help="instance file")
     solve.add_argument("--backend", default="serial",
                        choices=["serial", "shared_memory", "message_passing", "hybrid"])
-    solve.add_argument("--threads", type=int, default=1,
-                       help="team size for shared_memory/hybrid")
-    solve.add_argument("--procs", type=int, default=1,
-                       help="worker processes for message_passing/hybrid")
+    solve.add_argument("--threads", type=int,
+                       help="team size for shared_memory/hybrid (default 1)")
+    solve.add_argument("--procs", type=int,
+                       help="worker processes for message_passing/hybrid (default 1)")
     solve.set_defaults(func=_cmd_solve)
 
     bench_p = sub.add_parser("bench", help="run a benchmark sweep")

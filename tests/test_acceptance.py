@@ -32,7 +32,8 @@ from tspbench.bench import (
     report_to_json,
     run_bench,
 )
-from tspbench.core import solve_range, solve_serial
+from tspbench.cli import cli_dispatch
+from tspbench.core import format_instance, solve_range, solve_serial
 from tspbench.errors import ExecutionError, ProtocolError
 from tspbench.instances import generate_instance
 from tspbench.metrics import karp_flatt
@@ -294,6 +295,16 @@ nxt = json.loads(sys.stdin.readline())
 sys.exit(0 if nxt.get("type") == "shutdown" else 3)
 """
 
+FAKE_WRONG_COUNT = """#!/usr/bin/env python3
+import json, sys
+task = json.loads(sys.stdin.readline())
+reply = {"v": 1, "type": "result", "cost": 80, "path": [0, 1, 3, 2, 0],
+         "evaluated": str(int(task["end"]) - int(task["start"]) + 1)}
+sys.stdout.write(json.dumps(reply) + "\\n")
+sys.stdout.flush()
+sys.stdin.readline()
+"""
+
 FAKE_INSTANT_EXIT = """#!/usr/bin/env python3
 import sys
 sys.exit(0)
@@ -323,6 +334,14 @@ def test_criterion_7_wire_protocol_conformance(tmp_path, monkeypatch, four_city_
         _install_fake(tmp_path, "instant_exit.py", FAKE_INSTANT_EXIT, monkeypatch)
         with pytest.raises(ExecutionError, match="without a result"):
             solve_message_passing(four_city_matrix, 1)
+
+        # a worker that scanned more than its range is named, not trusted
+        _install_fake(tmp_path, "wrong_count.py", FAKE_WRONG_COUNT, monkeypatch)
+        with pytest.raises(ExecutionError, match="worker 0 evaluated 7 permutations, expected 6"):
+            solve_message_passing(four_city_matrix, 1)
+        instance = tmp_path / "m.txt"
+        instance.write_text(format_instance(four_city_matrix))
+        assert cli_dispatch(["solve", "--input", str(instance), "--backend", "message_passing"]) == 2
 
         # happy path: the fake only exits 0 if shutdown arrives after the
         # result, so a clean solve proves shutdown handling end to end

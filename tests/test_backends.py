@@ -5,17 +5,13 @@ import pytest
 from conftest import all_ones
 from tspbench.backends import (
     BackendSpec,
-    WorkerReport,
     hybrid_ranges,
     parse_backend_spec,
     solve,
     solve_hybrid,
-    solve_hybrid_with_reports,
     solve_interval_team,
     solve_message_passing,
-    solve_message_passing_with_reports,
     solve_shared_memory,
-    solve_shared_memory_with_reports,
 )
 from tspbench.core import FAULT_ENV_VAR, SolveResult, solve_range, solve_serial
 from tspbench.errors import ExecutionError, ValidationError
@@ -66,12 +62,17 @@ class TestBackendSpec:
             parse_backend_spec(token)
 
 
-class TestWorkerReport:
-    def test_count_invariant(self):
-        res = SolveResult(5, (0, 1, 0), 1)
-        WorkerReport(0, WorkRange(0, 1), res)
-        with pytest.raises(ValidationError):
-            WorkerReport(0, WorkRange(0, 2), res)
+class TestWorkerCount:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_team_member_over_count_is_execution_error(self, four_city_matrix, monkeypatch, threads):
+        # fork children inherit the patched scan, so every team member over-counts
+        def over_counting(matrix, work):
+            result = solve_range(matrix, work)
+            return SolveResult(result.optimal_cost, result.optimal_path, result.evaluated + 1)
+
+        monkeypatch.setattr("tspbench.backends.solve_range", over_counting)
+        with pytest.raises(ExecutionError, match="worker 0 evaluated"):
+            solve_interval_team(four_city_matrix, WorkRange(0, 6), threads)
 
 
 @pytest.fixture(scope="module")
@@ -106,15 +107,13 @@ class TestSharedMemory:
     def test_more_workers_than_permutations(self):
         # n=3 has only 2 permutations; 6 of the 8 workers stay idle
         m = all_ones(3)
-        result, reports = solve_shared_memory_with_reports(m, 8)
+        result = solve_shared_memory(m, 8)
         assert result == solve_serial(m)
-        assert [r.range.count for r in reports] == [1, 1, 0, 0, 0, 0, 0, 0]
+        assert result.evaluated == 2
 
     def test_work_conservation(self, instance7):
         for threads in (1, 2, 3, 4, 8):
-            _, reports = solve_shared_memory_with_reports(instance7, threads)
-            assert sum(r.range.count for r in reports) == factorial(6)
-            assert len(reports) == threads
+            assert solve_shared_memory(instance7, threads).evaluated == factorial(6)
 
     def test_rejects_bad_thread_count(self, instance7):
         with pytest.raises(ValidationError):
@@ -130,11 +129,10 @@ class TestMessagePassing:
         assert solve_message_passing(instance7, processes) == serial7
 
     def test_one_permutation_per_worker(self, four_city_matrix):
-        result, reports = solve_message_passing_with_reports(four_city_matrix, 6)
+        result = solve_message_passing(four_city_matrix, 6)
         assert result.optimal_cost == 80
         assert result.optimal_path == (0, 1, 3, 2, 0)
-        assert [r.range.count for r in reports] == [1] * 6
-        assert sum(r.local_best.evaluated for r in reports) == 6
+        assert result.evaluated == 6
 
     def test_spawn_failure_is_execution_error(self, four_city_matrix, monkeypatch):
         monkeypatch.setenv("TSPBENCH_WORKER_BIN", "/nonexistent/worker-binary")
@@ -152,10 +150,10 @@ class TestHybrid:
 
     def test_four_city_two_by_three(self, four_city_matrix):
         # 6 ranges of exactly one permutation each
-        result, reports = solve_hybrid_with_reports(four_city_matrix, 2, 3)
+        result = solve_hybrid(four_city_matrix, 2, 3)
         assert result.optimal_cost == 80
         assert result.optimal_path == (0, 1, 3, 2, 0)
-        assert [r.range.count for r in reports] == [3, 3]
+        assert result.evaluated == 6
 
     def test_tie_break(self):
         result = solve_hybrid(all_ones(5), 2, 2)

@@ -123,6 +123,11 @@ class TestReportSerialization:
         with pytest.raises(ValidationError):
             report_from_json(text)
 
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3"])
+    def test_non_object_json_rejected(self, text):
+        with pytest.raises(ValidationError, match="must be an object"):
+            report_from_json(text)
+
     def test_raw_csv_shape(self, report):
         lines = raw_csv_text(report).splitlines()
         assert lines[0] == RAW_CSV_HEADER

@@ -23,6 +23,12 @@ def test_gen_asymmetric(tmp_path):
     assert parse_instance(out.read_text()) == generate_instance(5, 3, symmetric=False)
 
 
+def test_gen_rejects_contradictory_shape(tmp_path):
+    out = tmp_path / "m.txt"
+    assert cli_dispatch(["gen", "--n", "4", "--symmetric", "--asymmetric", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_gen_rejects_bad_n(tmp_path):
     assert cli_dispatch(["gen", "--n", "99", "--out", str(tmp_path / "m.txt")]) == 1
 
@@ -55,6 +61,20 @@ def test_solve_parallel_backends(tmp_path, capsys, extra):
     instance.write_text("4\n0,10,15,20\n10,0,35,25\n15,35,0,30\n20,25,30,0\n")
     assert cli_dispatch(["solve", "--input", str(instance), *extra]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "cost 80"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--backend", "message_passing", "--threads", "4"],
+        ["--backend", "shared_memory", "--procs", "2"],
+    ],
+)
+def test_solve_rejects_flag_the_backend_does_not_take(tmp_path, capsys, extra):
+    instance = tmp_path / "m.txt"
+    instance.write_text("4\n0,10,15,20\n10,0,35,25\n15,35,0,30\n20,25,30,0\n")
+    assert cli_dispatch(["solve", "--input", str(instance), *extra]) == 1
+    assert "does not take" in capsys.readouterr().err
 
 
 def test_solve_missing_file_is_validation_error(tmp_path):
