@@ -10,7 +10,7 @@ process transports with one of two team transports:
   a pure master: it partitions, distributes, collects and reduces, but
   evaluates no permutations itself.
 * team: inline for a team of one, else forked workers that inherit the
-  matrix copy-on-write and report over private pipes.  CPython's
+  matrix copy-on-write and answer with one wire-protocol line.  CPython's
   interpreter lock keeps OS threads from running the scan in parallel,
   so a fork team is the working analog of threads sharing memory.
 
@@ -23,8 +23,8 @@ associative and commutative, so the combination order never matters.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from .core import CostMatrix, SolveResult, check_city_count, reduce_results, solve_range, solve_serial
 from .errors import ExecutionError, ProtocolError, ValidationError
 from .permutation import WorkRange, factorial, partition
-from .protocol import decode_result, parse_message, shutdown_message, task_message
+from .protocol import decode_result, error_message, parse_message, result_message
+from .protocol import shutdown_message, task_message
 
 KINDS = ("serial", "shared_memory", "message_passing", "hybrid")
 
@@ -55,11 +56,9 @@ class BackendSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown backend kind {self.kind!r} (expected one of {KINDS})")
-        wants_threads = self.kind in ("shared_memory", "hybrid")
-        wants_processes = self.kind in ("message_passing", "hybrid")
         for name, value, wanted in (
-            ("threads", self.threads, wants_threads),
-            ("processes", self.processes, wants_processes),
+            ("threads", self.threads, self.kind in ("shared_memory", "hybrid")),
+            ("processes", self.processes, self.kind in ("message_passing", "hybrid")),
         ):
             if wanted:
                 if not isinstance(value, int) or value < 1:
@@ -124,9 +123,7 @@ def hybrid_ranges(total: int, processes: int, threads: int) -> list[list[WorkRan
     flattened result is identical to partition(total, processes * threads).
     """
     if processes < 1 or threads < 1:
-        raise ValidationError(
-            f"processes and threads must be >= 1, got {processes} and {threads}"
-        )
+        raise ValidationError(f"processes and threads must be >= 1, got {processes} and {threads}")
     flat = partition(total, processes * threads)
     return [flat[j * threads : (j + 1) * threads] for j in range(processes)]
 
@@ -140,53 +137,77 @@ def _counted(idx: int, work: WorkRange, result: SolveResult) -> SolveResult:
     return result
 
 
+def _reply(idx: int, line: str, work: WorkRange, code: int | None) -> SolveResult:
+    """Decode the one line every worker answers with (empty if it exited
+    with ``code`` first) and check that worker ``idx`` scanned ``work``."""
+    if not line:
+        raise ExecutionError(f"worker {idx} exited without a result (exit code {code})")
+    try:
+        msg = parse_message(line)
+        if msg["type"] == "result":
+            return _counted(idx, work, decode_result(msg))
+    except (ProtocolError, ValidationError) as exc:
+        raise ProtocolError(f"worker {idx}: {exc}") from None
+    if msg["type"] == "error":
+        raise ExecutionError(f"worker {idx} failed: {msg.get('message', '')}")
+    raise ProtocolError(f"worker {idx} sent an unexpected {msg['type']!r} message")
+
+
 # --- teams -----------------------------------------------------------------
 
 
-def _team_child(matrix, work, conn):
-    conn.send(solve_range(matrix, work))
-    conn.close()
+def _team_member(matrix: CostMatrix, work: WorkRange, fd: int):
+    """Forked child: write one reply line to ``fd`` and leave by os._exit,
+    never returning into the caller's stack nor flushing inherited
+    stdio (in a hybrid worker, stdout is the wire)."""
+    try:
+        try:
+            line = result_message(solve_range(matrix, work))
+        except Exception as exc:
+            line = error_message(f"{type(exc).__name__}: {exc}")
+        with open(fd, "w", encoding="utf-8") as pipe:
+            pipe.write(line)
+        os._exit(0)
+    finally:
+        os._exit(1)  # reached only if the reply could not be written
 
 
 def _fork_team(matrix: CostMatrix, ranges: list[WorkRange]) -> list[SolveResult]:
-    """Run solve_range on a forked worker per range.
-
-    Children inherit the matrix copy-on-write; each sends one small
-    result through a private pipe.  Small sends never block, so every
-    child exits promptly and join-then-collect cannot deadlock.
-    """
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError as exc:
-        raise ExecutionError(f"fork start method unavailable: {exc}") from None
-    team = []
+    """Run solve_range on a forked child per range; children inherit the
+    matrix copy-on-write.  Each child's reply line is read before it is
+    reaped, and every exit path kills and reaps the children left."""
+    if not hasattr(os, "fork"):
+        raise ExecutionError(f"fork start method unavailable on {sys.platform}")
+    team: list[tuple[int, int]] = []  # (pid, pipe read end) of every started child
+    reaped = 0
     try:
         for work in ranges:
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_team_child, args=(matrix, work, send))
+            pipe: tuple[int, ...] = ()
             try:
-                proc.start()
+                pipe = os.pipe()
+                pid = os.fork()
             except OSError as exc:
+                for fd in pipe:
+                    os.close(fd)
                 raise ExecutionError(f"shared-memory worker spawn failed: {exc}") from exc
-            send.close()
-            team.append((proc, recv))
+            if pid == 0:
+                _team_member(matrix, work, pipe[1])
+            team.append((pid, pipe[0]))
+            os.close(pipe[1])
         results = []
-        for idx, ((proc, recv), work) in enumerate(zip(team, ranges)):
-            proc.join()
-            if proc.exitcode != 0:
-                raise ExecutionError(
-                    f"shared-memory worker {idx} exited with code {proc.exitcode}"
-                )
-            if not recv.poll():
-                raise ExecutionError(f"shared-memory worker {idx} sent no result")
-            results.append(_counted(idx, work, recv.recv()))
+        for idx, ((pid, fd), work) in enumerate(zip(team, ranges)):
+            with open(fd, encoding="utf-8", closefd=False) as reply:
+                line = reply.readline()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            results.append(_reply(idx, line, work, code))
         return results
     finally:
-        for proc, recv in team:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-            recv.close()
+        for idx, (pid, fd) in enumerate(team):
+            os.close(fd)
+            if idx >= reaped:  # not reaped, so the pid is still ours to kill
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def solve_interval_team(matrix: CostMatrix, work: WorkRange, threads: int) -> SolveResult:
@@ -195,8 +216,6 @@ def solve_interval_team(matrix: CostMatrix, work: WorkRange, threads: int) -> So
     as the global partitioner, so a hybrid worker's local split lines
     up exactly with the flat global partition.  A team of one runs
     inline; a larger team forks."""
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
     sub = [WorkRange(work.start + r.start, work.start + r.end) for r in partition(work.count, threads)]
     if threads == 1:
         return _counted(0, sub[0], solve_range(matrix, sub[0]))
@@ -225,60 +244,32 @@ def _worker_env() -> dict:
 
 def _wire_workers(matrix: CostMatrix, spans: list[WorkRange], threads: int) -> list[SolveResult]:
     """Spawn one child interpreter per span, send each its span and the
-    team size ``threads``, collect exactly one result per worker, then
-    shut them down.
-
-    Fail-fast: the first worker error, protocol violation or premature
-    exit aborts the solve and discards partial results.
-    """
+    team size ``threads``, read one reply per worker, in worker order,
+    then shut them down.  Fail-fast: the first worker error, protocol
+    violation or premature exit aborts the solve and discards partial
+    results."""
     cmd = worker_command()
     env = _worker_env()
     workers: list[subprocess.Popen] = []
     try:
-        for idx in range(len(spans)):
+        for idx, work in enumerate(spans):
             try:
-                workers.append(
-                    subprocess.Popen(
-                        cmd,
-                        stdin=subprocess.PIPE,
-                        stdout=subprocess.PIPE,
-                        text=True,
-                        bufsize=1,
-                        env=env,
-                    )
-                )
+                workers.append(subprocess.Popen(
+                    cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1, env=env
+                ))
             except OSError as exc:
                 raise ExecutionError(f"failed to spawn worker {idx}: {exc}") from exc
-        for idx, (proc, work) in enumerate(zip(workers, spans)):
-            try:
-                proc.stdin.write(task_message(matrix.costs, work, threads))
-                proc.stdin.flush()
+            try:  # line buffered: the newline flushes the task to the worker
+                workers[-1].stdin.write(task_message(matrix.costs, work, threads))
             except OSError as exc:
                 raise ExecutionError(f"worker {idx} closed its input: {exc}") from exc
-        results = []
-        for idx, (proc, work) in enumerate(zip(workers, spans)):
-            line = proc.stdout.readline()
-            if not line:
-                raise ExecutionError(
-                    f"worker {idx} exited without a result (exit code {proc.poll()})"
-                )
-            try:
-                msg = parse_message(line)
-            except ProtocolError as exc:
-                raise ProtocolError(f"worker {idx}: {exc}") from None
-            if msg["type"] == "error":
-                raise ExecutionError(f"worker {idx} failed: {msg.get('message', '')}")
-            if msg["type"] != "result":
-                raise ProtocolError(f"worker {idx} sent an unexpected {msg['type']!r} message")
-            try:
-                result = decode_result(msg)
-            except (ProtocolError, ValidationError) as exc:
-                raise ProtocolError(f"worker {idx}: {exc}") from None
-            results.append(_counted(idx, work, result))
+        results = [
+            _reply(idx, proc.stdout.readline(), work, proc.poll())
+            for idx, (proc, work) in enumerate(zip(workers, spans))
+        ]
         for proc in workers:
             try:
                 proc.stdin.write(shutdown_message())
-                proc.stdin.flush()
                 proc.stdin.close()
             except OSError:
                 pass  # already exiting; the wait below judges it

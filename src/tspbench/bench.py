@@ -273,16 +273,16 @@ def report_from_json(text: str) -> Report:
             )
             for m in data["metrics"]
         )
+        return Report(
+            schema_version=data["schema_version"],
+            plan=plan,
+            environment=data["environment"],
+            solutions=solutions,
+            timings=timings,
+            metrics=metrics,
+        )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"report JSON is missing fields: {exc}") from None
-    return Report(
-        schema_version=data["schema_version"],
-        plan=plan,
-        environment=data["environment"],
-        solutions=solutions,
-        timings=timings,
-        metrics=metrics,
-    )
 
 
 def raw_csv_text(report: Report) -> str:

@@ -13,7 +13,6 @@ partitioned or in which order partial results were combined.
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -140,17 +139,14 @@ def _fault_enabled() -> bool:
     return bool(os.environ.get(FAULT_ENV_VAR))
 
 
-def _scan(costs, perm: list[int], count: int, keep_worse: bool = False):
+def _scan(costs, perm: list[int], count: int):
     """Evaluate ``count`` consecutive permutations starting from ``perm``
     (mutated in place), returning (best_cost, best_perm).
 
     The strict comparison keeps the first optimum encountered, which in
     ascending lexicographic order is the smallest optimal permutation.
-    ``keep_worse`` flips the comparison; it exists only for
-    fault-injection tests of the benchmark correctness guard.
     """
-    better = operator.gt if keep_worse else operator.lt
-    best_cost = -1 if keep_worse else INFINITE_COST
+    best_cost = INFINITE_COST
     best_perm = None
     remaining = count
     while remaining > 0:
@@ -160,7 +156,7 @@ def _scan(costs, perm: list[int], count: int, keep_worse: bool = False):
             cost += costs[prev][city]
             prev = city
         cost += costs[prev][0]
-        if better(cost, best_cost):
+        if cost < best_cost:
             best_cost = cost
             best_perm = perm.copy()
         remaining -= 1
@@ -198,9 +194,13 @@ def solve_range(matrix: CostMatrix, work: WorkRange) -> SolveResult:
         )
     if work.count == 0:
         return EMPTY_RESULT
+    costs = matrix.costs
+    if _fault_enabled():  # keep the first costliest tour: scan negated costs
+        costs = tuple(tuple(-cost for cost in row) for row in costs)
     perm = unrank(work.start, range(1, n))
-    best_cost, best_perm = _scan(matrix.costs, perm, work.count, keep_worse=_fault_enabled())
-    return SolveResult(best_cost, (0, *best_perm, 0), work.count)
+    best_cost, best_perm = _scan(costs, perm, work.count)
+    # abs() undoes the negation: a real tour cost is never negative
+    return SolveResult(abs(best_cost), (0, *best_perm, 0), work.count)
 
 
 def better_result(a: SolveResult, b: SolveResult) -> SolveResult:

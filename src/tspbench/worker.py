@@ -20,13 +20,11 @@ from .protocol import Task, decode_task, error_message, parse_message, result_me
 
 def _run_task(task: Task):
     matrix = CostMatrix(task.matrix)
-    if matrix.n != task.n:
-        raise ProtocolError(f"task n={task.n} does not match a {matrix.n}-row matrix")
     work = WorkRange(task.start, task.end)
     if task.threads == 1:
         return solve_range(matrix, work)
     # Local fork team; imported lazily so plain message-passing workers
-    # never pay the multiprocessing import.
+    # never pay for importing backends (and subprocess with it).
     from .backends import solve_interval_team
 
     return solve_interval_team(matrix, work, task.threads)

@@ -1,4 +1,6 @@
 import os
+import signal
+import time
 
 import pytest
 
@@ -73,6 +75,47 @@ class TestWorkerCount:
         monkeypatch.setattr("tspbench.backends.solve_range", over_counting)
         with pytest.raises(ExecutionError, match="worker 0 evaluated"):
             solve_interval_team(four_city_matrix, WorkRange(0, 6), threads)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkTeamFailures:
+    def test_member_exception_names_the_worker(self, four_city_matrix, monkeypatch):
+        def failing_second_range(matrix, work):
+            if work.start:
+                raise RuntimeError("boom")
+            return solve_range(matrix, work)
+
+        monkeypatch.setattr("tspbench.backends.solve_range", failing_second_range)
+        with pytest.raises(ExecutionError, match="worker 1 failed: RuntimeError: boom"):
+            solve_interval_team(four_city_matrix, WorkRange(0, 6), 2)
+        assert_no_child_left()
+
+    def test_killed_member_is_reported_and_reaped(self, four_city_matrix, monkeypatch):
+        # a team of 2 runs the scan only in forked children, never here
+        def killed(matrix, work):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr("tspbench.backends.solve_range", killed)
+        with pytest.raises(ExecutionError, match="worker 0 exited without a result"):
+            solve_interval_team(four_city_matrix, WorkRange(0, 6), 2)
+        assert_no_child_left()
+
+    def test_failure_kills_members_still_running(self, four_city_matrix, monkeypatch):
+        def first_fails_rest_hang(matrix, work):
+            if work.start == 0:
+                raise RuntimeError("boom")
+            time.sleep(60)
+
+        monkeypatch.setattr("tspbench.backends.solve_range", first_fails_rest_hang)
+        started = time.monotonic()
+        with pytest.raises(ExecutionError, match="worker 0 failed: RuntimeError: boom"):
+            solve_interval_team(four_city_matrix, WorkRange(0, 6), 2)
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
 
 
 @pytest.fixture(scope="module")

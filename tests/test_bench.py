@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from tspbench.backends import BackendSpec
@@ -127,6 +129,13 @@ class TestReportSerialization:
     def test_non_object_json_rejected(self, text):
         with pytest.raises(ValidationError, match="must be an object"):
             report_from_json(text)
+
+    @pytest.mark.parametrize("key", ["plan", "environment", "solutions", "timings", "metrics"])
+    def test_missing_top_level_field_rejected(self, report, key):
+        data = json.loads(report_to_json(report))
+        del data[key]
+        with pytest.raises(ValidationError, match="missing fields"):
+            report_from_json(json.dumps(data))
 
     def test_raw_csv_shape(self, report):
         lines = raw_csv_text(report).splitlines()
