@@ -4,32 +4,37 @@ solve() splits the index space once into processes x threads contiguous
 ranges (hybrid_ranges) and runs each process's span on one of two
 process transports with one of two team transports:
 
-* process: on the caller, or in a worker interpreter spawned by
-  self-invocation.  A worker gets everything, the matrix included,
-  over line-delimited JSON (see protocol.py), so the coordinator stays
-  a pure master: it partitions, distributes, collects and reduces, but
-  evaluates no permutations itself.
-* team: inline for a team of one, else forked workers that inherit the
-  matrix copy-on-write and answer with one wire-protocol line.  CPython's
-  interpreter lock keeps OS threads from running the scan in parallel,
-  so a fork team is the working analog of threads sharing memory.
+* process: on the caller, or in a worker interpreter that the package
+  starts by posix_spawn of itself.  A worker gets everything, the matrix
+  included, over line-delimited JSON (see protocol.py), so the
+  coordinator stays a pure master: it partitions, distributes, collects
+  and reduces, but evaluates no permutations itself.
+* team: inline for a team of one, else forked members that inherit the
+  matrix copy-on-write.  CPython's interpreter lock keeps OS threads
+  from running the scan in parallel, so a fork team is the working
+  analog of threads sharing memory.
 
-shared_memory is caller x team, message_passing is worker x inline and
-hybrid is worker x team; serial is the reference scan.  Every backend
-is bit-identical to serial: each worker scans a disjoint range and the
-reduction takes the minimum by (cost, permutation), which is
-associative and commutative, so the combination order never matters.
+Spawned or forked, every worker answers with one wire-protocol line on
+its own pipe, and one loop (_run_workers) starts, reads and reaps them
+all, and kills and reaps the rest on failure.  shared_memory is caller
+x team, message_passing is worker x inline and hybrid is worker x team;
+serial is the reference scan.  Every backend is bit-identical to
+serial: each worker scans a disjoint range and the reduction takes the
+minimum by (cost, permutation), which is associative and commutative,
+so the combination order never matters.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import subprocess
 import sys
+import time
 from dataclasses import dataclass
+from functools import partial
 
-from .core import CostMatrix, SolveResult, check_city_count, reduce_results, solve_range, solve_serial
+from .core import EMPTY_RESULT, CostMatrix, SolveResult, check_city_count, path_cost, reduce_results
+from .core import solve_range, solve_serial
 from .errors import ExecutionError, ProtocolError, ValidationError
 from .permutation import WorkRange, factorial, partition
 from .protocol import decode_result, error_message, parse_message, result_message
@@ -112,7 +117,7 @@ def solve(matrix: CostMatrix, spec: BackendSpec) -> SolveResult:
     spans = [WorkRange(group[0].start, group[-1].end) for group in groups]
     if spec.kind == "shared_memory":
         return solve_interval_team(matrix, spans[0], threads)
-    return reduce_results(_wire_workers(matrix, spans, threads))
+    return reduce_results(_run_workers(matrix, spans, partial(_spawn_worker, matrix, threads)))
 
 
 def hybrid_ranges(total: int, processes: int, threads: int) -> list[list[WorkRange]]:
@@ -137,15 +142,21 @@ def _counted(idx: int, work: WorkRange, result: SolveResult) -> SolveResult:
     return result
 
 
-def _reply(idx: int, line: str, work: WorkRange, code: int | None) -> SolveResult:
+def _reply(idx: int, line: str, work: WorkRange, code: int, matrix: CostMatrix) -> SolveResult:
     """Decode the one line every worker answers with (empty if it exited
-    with ``code`` first) and check that worker ``idx`` scanned ``work``."""
+    with ``code`` first) and check that worker ``idx`` scanned ``work``
+    and that its tour costs what it claims on ``matrix``."""
     if not line:
         raise ExecutionError(f"worker {idx} exited without a result (exit code {code})")
     try:
         msg = parse_message(line)
         if msg["type"] == "result":
-            return _counted(idx, work, decode_result(msg))
+            result = _counted(idx, work, decode_result(msg))
+            if (result == EMPTY_RESULT) if work.count == 0 else (
+                path_cost(result.optimal_path[1:-1], matrix) == result.optimal_cost
+            ):
+                return result
+            raise ProtocolError(f"tour {result.optimal_path} does not cost {result.optimal_cost}")
     except (ProtocolError, ValidationError) as exc:
         raise ProtocolError(f"worker {idx}: {exc}") from None
     if msg["type"] == "error":
@@ -153,7 +164,7 @@ def _reply(idx: int, line: str, work: WorkRange, code: int | None) -> SolveResul
     raise ProtocolError(f"worker {idx} sent an unexpected {msg['type']!r} message")
 
 
-# --- teams -----------------------------------------------------------------
+# --- worker lifecycle ------------------------------------------------------
 
 
 def _team_member(matrix: CostMatrix, work: WorkRange, fd: int):
@@ -172,38 +183,50 @@ def _team_member(matrix: CostMatrix, work: WorkRange, fd: int):
         os._exit(1)  # reached only if the reply could not be written
 
 
-def _fork_team(matrix: CostMatrix, ranges: list[WorkRange]) -> list[SolveResult]:
-    """Run solve_range on a forked child per range; children inherit the
-    matrix copy-on-write.  Each child's reply line is read before it is
-    reaped, and every exit path kills and reaps the children left."""
-    if not hasattr(os, "fork"):
-        raise ExecutionError(f"fork start method unavailable on {sys.platform}")
-    team: list[tuple[int, int]] = []  # (pid, pipe read end) of every started child
+def _reap(idx: int, pid: int) -> int:
+    """Exit code of worker ``idx``, child ``pid``, given 60 s to exit; the
+    poll interval doubles from 0.1 ms to 10 ms (most exit at once)."""
+    deadline, delay = time.monotonic() + 60, 1e-4
+    while not (waited := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            raise ExecutionError(f"worker {idx} did not exit within 60 s of its reply")
+        time.sleep(delay)
+        delay = min(2 * delay, 0.01)
+    return os.waitstatus_to_exitcode(waited[1])
+
+
+def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start) -> list[SolveResult]:
+    """Start a child per span by ``start(work, fd) -> pid``, ``fd`` being
+    its reply pipe; then, in worker order, read each reply, reap that
+    child and check the reply.  The first failure aborts the solve, and
+    every exit path closes every pipe and kills and reaps the rest."""
+    if not (hasattr(os, "fork") and hasattr(os, "posix_spawnp")):
+        raise ExecutionError(f"fork and posix_spawn unavailable on {sys.platform}")
+    workers: list[tuple[int, int]] = []  # (pid, reply read end) of every started child
     reaped = 0
     try:
-        for work in ranges:
+        for idx, work in enumerate(spans):
             pipe: tuple[int, ...] = ()
             try:
                 pipe = os.pipe()
-                pid = os.fork()
+                workers.append((start(work, pipe[1]), pipe[0]))
             except OSError as exc:
                 for fd in pipe:
                     os.close(fd)
-                raise ExecutionError(f"shared-memory worker spawn failed: {exc}") from exc
-            if pid == 0:
-                _team_member(matrix, work, pipe[1])
-            team.append((pid, pipe[0]))
+                raise ExecutionError(f"failed to spawn worker {idx}: {exc}") from exc
             os.close(pipe[1])
         results = []
-        for idx, ((pid, fd), work) in enumerate(zip(team, ranges)):
-            with open(fd, encoding="utf-8", closefd=False) as reply:
+        for idx, ((pid, fd), work) in enumerate(zip(workers, spans)):
+            with open(fd, encoding="utf-8", errors="replace", closefd=False) as reply:
                 line = reply.readline()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            code = _reap(idx, pid)
             reaped += 1
-            results.append(_reply(idx, line, work, code))
+            results.append(_reply(idx, line, work, code, matrix))
+            if code != 0:
+                raise ExecutionError(f"worker {idx} exited with code {code} after its result")
         return results
     finally:
-        for idx, (pid, fd) in enumerate(team):
+        for idx, (pid, fd) in enumerate(workers):
             os.close(fd)
             if idx >= reaped:  # not reaped, so the pid is still ours to kill
                 os.kill(pid, signal.SIGKILL)
@@ -219,10 +242,9 @@ def solve_interval_team(matrix: CostMatrix, work: WorkRange, threads: int) -> So
     sub = [WorkRange(work.start + r.start, work.start + r.end) for r in partition(work.count, threads)]
     if threads == 1:
         return _counted(0, sub[0], solve_range(matrix, sub[0]))
-    return reduce_results(_fork_team(matrix, sub))
-
-
-# --- worker interpreters ---------------------------------------------------
+    # os.fork() is 0 only in the child, which _team_member never lets return
+    team = _run_workers(matrix, sub, lambda w, fd: os.fork() or _team_member(matrix, w, fd))
+    return reduce_results(team)
 
 
 def worker_command() -> list[str]:
@@ -242,50 +264,23 @@ def _worker_env() -> dict:
     return env
 
 
-def _wire_workers(matrix: CostMatrix, spans: list[WorkRange], threads: int) -> list[SolveResult]:
-    """Spawn one child interpreter per span, send each its span and the
-    team size ``threads``, read one reply per worker, in worker order,
-    then shut them down.  Fail-fast: the first worker error, protocol
-    violation or premature exit aborts the solve and discards partial
-    results."""
+def _spawn_worker(matrix: CostMatrix, threads: int, work: WorkRange, fd: int) -> int:
+    """Start a worker interpreter that answers on ``fd``, and send it its
+    span, the team size ``threads`` and the shutdown in one write."""
     cmd = worker_command()
-    env = _worker_env()
-    workers: list[subprocess.Popen] = []
+    task_in, task_out = os.pipe()
+    stdio = [(os.POSIX_SPAWN_DUP2, task_in, 0), (os.POSIX_SPAWN_DUP2, fd, 1)]
     try:
-        for idx, work in enumerate(spans):
+        with open(task_out, "w", encoding="utf-8") as pipe:
             try:
-                workers.append(subprocess.Popen(
-                    cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1, env=env
-                ))
-            except OSError as exc:
-                raise ExecutionError(f"failed to spawn worker {idx}: {exc}") from exc
-            try:  # line buffered: the newline flushes the task to the worker
-                workers[-1].stdin.write(task_message(matrix.costs, work, threads))
-            except OSError as exc:
-                raise ExecutionError(f"worker {idx} closed its input: {exc}") from exc
-        results = [
-            _reply(idx, proc.stdout.readline(), work, proc.poll())
-            for idx, (proc, work) in enumerate(zip(workers, spans))
-        ]
-        for proc in workers:
-            try:
-                proc.stdin.write(shutdown_message())
-                proc.stdin.close()
-            except OSError:
-                pass  # already exiting; the wait below judges it
-        for idx, proc in enumerate(workers):
-            try:
-                code = proc.wait(timeout=60)
-            except subprocess.TimeoutExpired:
-                raise ExecutionError(f"worker {idx} ignored shutdown") from None
-            if code != 0:
-                raise ExecutionError(f"worker {idx} exited with code {code} after shutdown")
-        return results
-    finally:
-        for proc in workers:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+                pid = os.posix_spawnp(cmd[0], cmd, _worker_env(), file_actions=stdio,
+                                      setsigdef=(signal.SIGPIPE,))
+            finally:
+                os.close(task_in)
+            pipe.write(task_message(matrix.costs, work, threads) + shutdown_message())
+    except BrokenPipeError:
+        pass  # the worker exited early; its empty reply reports the exit code
+    return pid
 
 
 # --- per-backend shorthands ------------------------------------------------

@@ -22,7 +22,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import median
 from typing import Iterable
 
@@ -122,15 +122,7 @@ def run_bench(plan: BenchPlan) -> Report:
     baseline; a mismatch raises CorrectnessError and no report is
     produced.
     """
-    specs = _normalized_backends(plan.backends)
-    plan = BenchPlan(
-        n_values=plan.n_values,
-        backends=specs,
-        repetitions=plan.repetitions,
-        warmup=plan.warmup,
-        seed=plan.seed,
-        symmetric=plan.symmetric,
-    )
+    plan = replace(plan, backends=_normalized_backends(plan.backends))
     records: list[TimingRecord] = []
     solutions: list[InstanceSolution] = []
     baseline: dict[int, float] = {}
@@ -226,9 +218,13 @@ def report_to_json(report: Report) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _reject_constant(name: str):
+    raise ValidationError(f"report JSON holds the non-finite number {name}")
+
+
 def report_from_json(text: str) -> Report:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed report JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -24,7 +24,7 @@ def _run_task(task: Task):
     if task.threads == 1:
         return solve_range(matrix, work)
     # Local fork team; imported lazily so plain message-passing workers
-    # never pay for importing backends (and subprocess with it).
+    # never pay for importing backends.
     from .backends import solve_interval_team
 
     return solve_interval_team(matrix, work, task.threads)

@@ -16,7 +16,7 @@ from tspbench.backends import (
     solve_shared_memory,
 )
 from tspbench.core import FAULT_ENV_VAR, SolveResult, solve_range, solve_serial
-from tspbench.errors import ExecutionError, ValidationError
+from tspbench.errors import ExecutionError, ProtocolError, ValidationError
 from tspbench.instances import generate_instance
 from tspbench.permutation import WorkRange, factorial, partition
 
@@ -181,6 +181,64 @@ class TestMessagePassing:
         monkeypatch.setenv("TSPBENCH_WORKER_BIN", "/nonexistent/worker-binary")
         with pytest.raises(ExecutionError):
             solve_message_passing(four_city_matrix, 2)
+
+
+def install_fake_worker(tmp_path, monkeypatch, body):
+    script = tmp_path / "fake_worker.py"
+    script.write_text("#!/usr/bin/env python3\nimport json, sys\n" + body)
+    script.chmod(0o755)
+    monkeypatch.setenv("TSPBENCH_WORKER_BIN", str(script))
+
+
+def claiming_worker(path, cost, exit_code=0):
+    """Body of a fake worker that answers any task with ``path`` at
+    ``cost``, counting its range correctly, then exits ``exit_code``."""
+    reply = {"v": 1, "type": "result", "cost": cost, "path": list(path)}
+    return (
+        "task = json.loads(sys.stdin.readline())\n"
+        f"reply = {reply!r}\n"
+        'reply["evaluated"] = str(int(task["end"]) - int(task["start"]))\n'
+        "print(json.dumps(reply), flush=True)\n"
+        f"sys.exit({exit_code})\n"
+    )
+
+
+class TestWorkerInterpreterFailures:
+    @pytest.mark.parametrize(
+        "n,processes,path,cost,idx",
+        [
+            (5, 2, (0, 9, 0), 0, 0),  # a label the instance does not have
+            (5, 2, (0, 1, 2, 3, 4, 0), 1, 0),  # a real tour at a false cost
+            (3, 3, (0, 1, 2, 0), 3, 2),  # a true tour from a worker given no range
+        ],
+    )
+    def test_result_not_on_the_instance_is_protocol_error(
+        self, tmp_path, monkeypatch, n, processes, path, cost, idx
+    ):
+        install_fake_worker(tmp_path, monkeypatch, claiming_worker(path, cost))
+        with pytest.raises(ProtocolError, match=f"worker {idx}: "):
+            solve_message_passing(all_ones(n), processes)
+        assert_no_child_left()
+
+    def test_undecodable_reply_is_protocol_error(self, tmp_path, monkeypatch, four_city_matrix):
+        install_fake_worker(tmp_path, monkeypatch, 'sys.stdout.buffer.write(b"\\xff\\n")\n')
+        with pytest.raises(ProtocolError, match="worker 0: malformed"):
+            solve_message_passing(four_city_matrix, 1)
+        assert_no_child_left()
+
+    def test_silent_exit_reports_the_exit_code(self, tmp_path, monkeypatch, four_city_matrix):
+        # the exit code is read only once the worker is reaped, never before
+        install_fake_worker(tmp_path, monkeypatch, "sys.exit(3)\n")
+        for _ in range(10):
+            with pytest.raises(ExecutionError, match=r"without a result \(exit code 3\)"):
+                solve_message_passing(four_city_matrix, 2)
+        assert_no_child_left()
+
+    def test_nonzero_exit_after_result_names_the_worker(self, tmp_path, monkeypatch, four_city_matrix):
+        install_fake_worker(tmp_path, monkeypatch, claiming_worker((0, 1, 3, 2, 0), 80, exit_code=3))
+        with pytest.raises(ExecutionError, match="worker 0 exited with code 3"):
+            solve_message_passing(four_city_matrix, 1)
+        assert_no_child_left()
 
 
 class TestHybrid:

@@ -13,6 +13,7 @@ from tspbench.bench import (
     report_to_json,
     run_bench,
 )
+from tspbench.cli import cli_dispatch
 from tspbench.core import FAULT_ENV_VAR
 from tspbench.errors import CorrectnessError, ValidationError
 
@@ -129,6 +130,19 @@ class TestReportSerialization:
     def test_non_object_json_rejected(self, text):
         with pytest.raises(ValidationError, match="must be an object"):
             report_from_json(text)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, report, tmp_path, constant):
+        # json.loads accepts these by default, and a NaN run passes every
+        # "<= 0" check that TimingRecord makes
+        data = json.loads(report_to_json(report))
+        data["timings"][0]["runs"][0] = "PLACEHOLDER"
+        text = json.dumps(data).replace('"PLACEHOLDER"', constant)
+        with pytest.raises(ValidationError, match=constant):
+            report_from_json(text)
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        assert cli_dispatch(["metrics", "--input", str(path)]) == 1
 
     @pytest.mark.parametrize("key", ["plan", "environment", "solutions", "timings", "metrics"])
     def test_missing_top_level_field_rejected(self, report, key):

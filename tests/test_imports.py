@@ -25,6 +25,7 @@ def loaded_after(statement: str, module: str) -> bool:
     "statement,module",
     [
         ("import tspbench.backends, tspbench.bench", "multiprocessing"),
+        ("import tspbench.backends, tspbench.bench", "subprocess"),
         ("import tspbench.worker", "tspbench.backends"),
     ],
 )
