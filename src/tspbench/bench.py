@@ -8,8 +8,11 @@ and materializes both raw timings and derived metrics.
 Report formats
 --------------
 JSON: canonical encoding (sorted keys, two-space indent, trailing
-newline) holding full-precision numbers; parse/emit round-trips are
-byte-identical.  CSV: raw rows as ``backend,n,p,run_index,seconds``
+newline) holding full-precision numbers.  The reader parses only the
+plan, environment, solutions and each timing's runs and re-derives the
+rest (means, minima, medians, metrics rows); a file holding anything
+else is rejected, and parse/emit round-trips are byte-identical.
+CSV: raw rows as ``backend,n,p,run_index,seconds``
 with seconds to 6 decimals; the metrics table as
 ``backend,n,p,mean_seconds,speedup,efficiency,karp_flatt`` with the
 mean to 6 decimals, the three ratios to 3 decimals, and an empty
@@ -125,17 +128,14 @@ def run_bench(plan: BenchPlan) -> Report:
     plan = replace(plan, backends=_normalized_backends(plan.backends))
     records: list[TimingRecord] = []
     solutions: list[InstanceSolution] = []
-    baseline: dict[int, float] = {}
-    baseline_result: dict[int, SolveResult] = {}
     for n in plan.n_values:
         matrix = generate_instance(n, plan.seed, plan.symmetric)
+        expected: SolveResult | None = None  # serial runs first, so this is its first answer
         for spec in plan.backends:
             runs = []
             for run_index in range(plan.warmup + plan.repetitions):
                 elapsed, result = _timed_solve(matrix, spec)
-                if spec.kind == "serial" and n not in baseline_result:
-                    baseline_result[n] = result
-                expected = baseline_result[n]
+                expected = result if expected is None else expected
                 if result != expected:
                     raise CorrectnessError(
                         f"{spec.label()} on n={n} returned cost {result.optimal_cost}, "
@@ -144,33 +144,25 @@ def run_bench(plan: BenchPlan) -> Report:
                     )
                 if run_index >= plan.warmup:
                     runs.append(elapsed)
-            record = TimingRecord.from_runs(spec.kind, n, spec.parallel_elements, runs)
-            records.append(record)
-            if spec.kind == "serial" and n not in baseline:
-                baseline[n] = record.mean_time
-        base = baseline_result[n]
-        solutions.append(InstanceSolution(n, base.optimal_cost, base.optimal_path))
-    return Report(
-        schema_version=SCHEMA_VERSION,
-        plan=plan,
-        environment=describe_environment(),
-        solutions=tuple(solutions),
-        timings=tuple(records),
-        metrics=tuple(build_metrics_table(records, baseline)),
-    )
+            records.append(TimingRecord.from_runs(spec.kind, n, spec.parallel_elements, runs))
+        solutions.append(InstanceSolution(n, expected.optimal_cost, expected.optimal_path))
+    return _report(plan, describe_environment(), solutions, records)
+
+
+def _report(plan: BenchPlan, environment: str, solutions: Iterable[InstanceSolution],
+            timings: Iterable[TimingRecord]) -> Report:
+    """Build a report, deriving the metrics rows from the timings against
+    the first serial record of each size (run_bench and the reader both do)."""
+    timings = tuple(timings)
+    baseline: dict[int, float] = {}
+    for record in timings:
+        if record.backend == "serial":
+            baseline.setdefault(record.n, record.mean_time)
+    metrics = build_metrics_table(timings, baseline)
+    return Report(SCHEMA_VERSION, plan, environment, tuple(solutions), timings, tuple(metrics))
 
 
 # --- serialization ---------------------------------------------------------
-
-
-def _spec_to_dict(spec: BackendSpec) -> dict:
-    return {"kind": spec.kind, "threads": spec.threads, "processes": spec.processes}
-
-
-def _spec_from_dict(data: dict) -> BackendSpec:
-    return BackendSpec(
-        kind=data["kind"], threads=data.get("threads"), processes=data.get("processes")
-    )
 
 
 def report_to_json(report: Report) -> str:
@@ -179,7 +171,10 @@ def report_to_json(report: Report) -> str:
         "schema_version": report.schema_version,
         "plan": {
             "n_values": list(report.plan.n_values),
-            "backends": [_spec_to_dict(s) for s in report.plan.backends],
+            "backends": [
+                {"kind": s.kind, "threads": s.threads, "processes": s.processes}
+                for s in report.plan.backends
+            ],
             "repetitions": report.plan.repetitions,
             "warmup": report.plan.warmup,
             "seed": report.plan.seed,
@@ -237,48 +232,33 @@ def report_from_json(text: str) -> Report:
         plan_data = data["plan"]
         plan = BenchPlan(
             n_values=tuple(plan_data["n_values"]),
-            backends=tuple(_spec_from_dict(s) for s in plan_data["backends"]),
+            backends=tuple(
+                BackendSpec(s["kind"], s["threads"], s["processes"]) for s in plan_data["backends"]
+            ),
             repetitions=plan_data["repetitions"],
             warmup=plan_data["warmup"],
             seed=plan_data["seed"],
             symmetric=plan_data["symmetric"],
         )
-        solutions = tuple(
-            InstanceSolution(s["n"], s["optimal_cost"], tuple(s["optimal_path"]))
-            for s in data["solutions"]
+        report = _report(
+            plan,
+            data["environment"],
+            (
+                InstanceSolution(s["n"], s["optimal_cost"], tuple(s["optimal_path"]))
+                for s in data["solutions"]
+            ),
+            (
+                TimingRecord.from_runs(r["backend"], r["n"], r["p"], r["runs"])
+                for r in data["timings"]
+            ),
         )
-        timings = tuple(
-            TimingRecord(
-                backend=r["backend"],
-                n=r["n"],
-                p=r["p"],
-                runs=tuple(r["runs"]),
-                mean_time=r["mean_seconds"],
-            )
-            for r in data["timings"]
-        )
-        metrics = tuple(
-            MetricsRow(
-                backend=m["backend"],
-                n=m["n"],
-                p=m["p"],
-                mean_seconds=m["mean_seconds"],
-                speedup=m["speedup"],
-                efficiency=m["efficiency"],
-                karp_flatt=m["karp_flatt"],
-            )
-            for m in data["metrics"]
-        )
-        return Report(
-            schema_version=data["schema_version"],
-            plan=plan,
-            environment=data["environment"],
-            solutions=solutions,
-            timings=timings,
-            metrics=metrics,
-        )
+        derived = json.loads(report_to_json(report))
+        for key in sorted(data.keys() | derived.keys()):
+            if key not in derived or data[key] != derived[key]:
+                raise ValidationError(f"report JSON {key!r} is not what its runs give")
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"report JSON is missing fields: {exc}") from None
+    return report
 
 
 def raw_csv_text(report: Report) -> str:

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen, solve, bench, metrics.  The hidden --worker flag
-enters message-passing worker mode (used by coordinator self-invocation
-and never shown in help).  Exit codes: 0 success, 1 validation error,
+Subcommands: gen, solve, bench, metrics.  A lone hidden --worker
+argument enters message-passing worker mode (used by coordinator
+self-invocation and never shown in help).  Exit codes: 0 success, 1 validation error,
 2 execution or correctness error.  Diagnostics go to stderr; data goes
 to files or stdout.
 """
@@ -179,7 +179,7 @@ def _build_parser():
 
 def cli_dispatch(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if "--worker" in argv:
+    if argv == ["--worker"]:
         from .worker import run_worker
 
         return run_worker()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 
 from .core import CostMatrix, solve_range
-from .errors import ProtocolError, ValidationError
+from .errors import ProtocolError
 from .permutation import WorkRange
 from .protocol import Task, decode_task, error_message, parse_message, result_message
 
@@ -46,11 +46,7 @@ def run_worker(stdin=None, stdout=None) -> int:
             result = _run_task(decode_task(msg))
             out.write(result_message(result))
             out.flush()
-        except (ProtocolError, ValidationError) as exc:
-            out.write(error_message(str(exc)))
-            out.flush()
-            return 1
-        except Exception as exc:  # defensive: report before dying
+        except Exception as exc:
             out.write(error_message(f"{type(exc).__name__}: {exc}"))
             out.flush()
             return 1

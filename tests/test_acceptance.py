@@ -382,6 +382,8 @@ def test_criterion_7_wire_protocol_conformance(tmp_path, monkeypatch, four_city_
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdin.close()
+            proc.stdout.close()
 
 
 # --- 8. determinism and report round-trip -----------------------------------

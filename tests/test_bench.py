@@ -7,6 +7,8 @@ from tspbench.bench import (
     METRICS_CSV_HEADER,
     RAW_CSV_HEADER,
     BenchPlan,
+    InstanceSolution,
+    Report,
     metrics_csv_text,
     raw_csv_text,
     report_from_json,
@@ -16,6 +18,7 @@ from tspbench.bench import (
 from tspbench.cli import cli_dispatch
 from tspbench.core import FAULT_ENV_VAR
 from tspbench.errors import CorrectnessError, ValidationError
+from tspbench.metrics import MetricsRow, TimingRecord
 
 
 def small_plan(**overrides):
@@ -151,6 +154,50 @@ class TestReportSerialization:
         with pytest.raises(ValidationError, match="missing fields"):
             report_from_json(json.dumps(data))
 
+    @pytest.mark.parametrize(
+        "section, key, change",
+        [
+            ("metrics", "speedup", lambda old: 2 * old),
+            ("metrics", "speedup", lambda old: None),
+            ("metrics", "mean_seconds", lambda old: "x"),
+            ("timings", "median_seconds", lambda old: 2 * old),
+            ("timings", "note", lambda old: "extra"),
+            (None, "note", lambda old: "extra"),
+        ],
+        ids=["changed-speedup", "null-speedup", "string-mean", "changed-median", "extra-key",
+             "extra-top-level-key"],
+    )
+    def test_derived_numbers_must_be_what_the_runs_give(
+        self, report, tmp_path, capsys, section, key, change
+    ):
+        data = json.loads(report_to_json(report))
+        row = data if section is None else data[section][0]
+        row[key] = change(row.get(key))
+        text = json.dumps(data)
+        with pytest.raises(ValidationError, match=section or key):
+            report_from_json(text)
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert cli_dispatch(["metrics", "--input", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_repeated_size_round_trips(self):
+        report = run_bench(small_plan(n_values=(5, 5), repetitions=1))
+        assert [s.n for s in report.solutions] == [5, 5]
+        # both n=5 rows are measured against the first serial record
+        assert [m.speedup for m in report.metrics if m.backend == "serial"][0] == 1.0
+        text = report_to_json(report)
+        assert report_from_json(text) == report
+        assert report_to_json(report_from_json(text)) == text
+
+    def test_golden_schema_1_text(self):
+        # the reader accepts only what the writer emits, so pinning the
+        # writer's text pins the schema "1" key names for both
+        assert report_to_json(GOLDEN_REPORT) == GOLDEN_JSON
+        assert report_from_json(GOLDEN_JSON) == GOLDEN_REPORT
+
     def test_raw_csv_shape(self, report):
         lines = raw_csv_text(report).splitlines()
         assert lines[0] == RAW_CSV_HEADER
@@ -189,3 +236,147 @@ class TestReportSerialization:
             backend, n, p, run_index, seconds = line.split(",")
             runs = raw_by_key[(backend, int(n), int(p))]
             assert seconds == f"{runs[int(run_index)]:.6f}"
+
+
+# Every number below is an exact binary fraction, so the text is the
+# same on every platform.
+GOLDEN_REPORT = Report(
+    schema_version="1",
+    plan=BenchPlan(
+        n_values=(4,),
+        backends=(
+            BackendSpec("serial"),
+            BackendSpec("shared_memory", threads=2),
+            BackendSpec("hybrid", processes=2, threads=2),
+        ),
+        repetitions=2,
+        warmup=0,
+        seed=3,
+    ),
+    environment="golden host",
+    solutions=(InstanceSolution(4, 80, (0, 1, 3, 2, 0)),),
+    timings=(
+        TimingRecord("serial", 4, 1, (0.75, 1.25), 1.0),
+        TimingRecord("shared_memory", 4, 2, (0.5, 1.5), 1.0),
+        TimingRecord("hybrid", 4, 4, (0.125, 0.25, 0.375), 0.25),
+    ),
+    metrics=(
+        MetricsRow("hybrid", 4, 4, 0.25, 4.0, 1.0, 0.0),
+        MetricsRow("serial", 4, 1, 1.0, 1.0, 1.0, None),
+        MetricsRow("shared_memory", 4, 2, 1.0, 1.0, 0.5, 1.0),
+    ),
+)
+
+GOLDEN_JSON = """\
+{
+  "environment": "golden host",
+  "metrics": [
+    {
+      "backend": "hybrid",
+      "efficiency": 1.0,
+      "karp_flatt": 0.0,
+      "mean_seconds": 0.25,
+      "n": 4,
+      "p": 4,
+      "speedup": 4.0
+    },
+    {
+      "backend": "serial",
+      "efficiency": 1.0,
+      "karp_flatt": null,
+      "mean_seconds": 1.0,
+      "n": 4,
+      "p": 1,
+      "speedup": 1.0
+    },
+    {
+      "backend": "shared_memory",
+      "efficiency": 0.5,
+      "karp_flatt": 1.0,
+      "mean_seconds": 1.0,
+      "n": 4,
+      "p": 2,
+      "speedup": 1.0
+    }
+  ],
+  "plan": {
+    "backends": [
+      {
+        "kind": "serial",
+        "processes": null,
+        "threads": null
+      },
+      {
+        "kind": "shared_memory",
+        "processes": null,
+        "threads": 2
+      },
+      {
+        "kind": "hybrid",
+        "processes": 2,
+        "threads": 2
+      }
+    ],
+    "n_values": [
+      4
+    ],
+    "repetitions": 2,
+    "seed": 3,
+    "symmetric": true,
+    "warmup": 0
+  },
+  "schema_version": "1",
+  "solutions": [
+    {
+      "n": 4,
+      "optimal_cost": 80,
+      "optimal_path": [
+        0,
+        1,
+        3,
+        2,
+        0
+      ]
+    }
+  ],
+  "timings": [
+    {
+      "backend": "serial",
+      "mean_seconds": 1.0,
+      "median_seconds": 1.0,
+      "min_seconds": 0.75,
+      "n": 4,
+      "p": 1,
+      "runs": [
+        0.75,
+        1.25
+      ]
+    },
+    {
+      "backend": "shared_memory",
+      "mean_seconds": 1.0,
+      "median_seconds": 1.0,
+      "min_seconds": 0.5,
+      "n": 4,
+      "p": 2,
+      "runs": [
+        0.5,
+        1.5
+      ]
+    },
+    {
+      "backend": "hybrid",
+      "mean_seconds": 0.25,
+      "median_seconds": 0.25,
+      "min_seconds": 0.125,
+      "n": 4,
+      "p": 4,
+      "runs": [
+        0.125,
+        0.25,
+        0.375
+      ]
+    }
+  ]
+}
+"""

@@ -178,6 +178,22 @@ def test_worker_flag_enters_protocol_mode():
     assert proc.stdout == ""
 
 
+def test_worker_flag_among_other_arguments_is_rejected(tmp_path):
+    # only a lone --worker enters worker mode; beside a subcommand it is
+    # an unknown argument, not a switch to reading tasks from stdin
+    out = tmp_path / "x.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tspbench", "gen", "--n", "5", "--out", str(out), "--worker"],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "unrecognized arguments: --worker" in proc.stderr
+    assert not out.exists()
+
+
 def test_correctness_failure_exits_two(tmp_path, monkeypatch):
     from tspbench.core import FAULT_ENV_VAR
 
