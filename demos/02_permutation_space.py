@@ -2,7 +2,9 @@
 """How the permutation space is indexed and split among workers.
 
 Every tour has a lexicographic index in 0 .. (n-1)!-1.  A worker gets a
-half-open index range, unranks its start once, then walks successors.
+half-open index range; unrank, rank and next_permutation below name the
+tours of that range one by one (the scan kernel itself reaches the start
+by factorial arithmetic and walks the tree of prefixes).
 """
 
 from tspbench.permutation import factorial, next_permutation, partition, rank, unrank

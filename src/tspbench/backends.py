@@ -66,7 +66,7 @@ class BackendSpec:
             ("processes", self.processes, self.kind in ("message_passing", "hybrid")),
         ):
             if wanted:
-                if not isinstance(value, int) or value < 1:
+                if type(value) is not int or value < 1:  # a bool is no count
                     raise ValidationError(f"{self.kind} backend needs {name} >= 1, got {value!r}")
             elif value is not None:
                 raise ValidationError(f"{self.kind} backend does not take {name}")

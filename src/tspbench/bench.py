@@ -11,7 +11,8 @@ JSON: canonical encoding (sorted keys, two-space indent, trailing
 newline) holding full-precision numbers.  The reader parses only the
 plan, environment, solutions and each timing's runs and re-derives the
 rest (means, minima, medians, metrics rows); a file holding anything
-else is rejected, and parse/emit round-trips are byte-identical.
+else, or a number of another JSON type (4.0 or true for 4), is rejected,
+and parse/emit round-trips are byte-identical.
 CSV: raw rows as ``backend,n,p,run_index,seconds``
 with seconds to 6 decimals; the metrics table as
 ``backend,n,p,mean_seconds,speedup,efficiency,karp_flatt`` with the
@@ -31,7 +32,7 @@ from typing import Iterable
 
 from . import backends as _backends
 from .backends import BackendSpec
-from .core import CostMatrix, SolveResult
+from .core import KERNEL, CostMatrix, SolveResult
 from .errors import CorrectnessError, ExecutionError, ValidationError
 from .instances import generate_instance
 from .metrics import MetricsRow, TimingRecord, build_metrics_table
@@ -102,7 +103,7 @@ def _normalized_backends(specs: Iterable[BackendSpec]) -> tuple[BackendSpec, ...
 def describe_environment() -> str:
     return (
         f"{platform.platform()} | Python {platform.python_version()} | "
-        f"{os.cpu_count()} logical CPUs"
+        f"{os.cpu_count()} logical CPUs | kernel {KERNEL}"
     )
 
 
@@ -165,9 +166,9 @@ def _report(plan: BenchPlan, environment: str, solutions: Iterable[InstanceSolut
 # --- serialization ---------------------------------------------------------
 
 
-def report_to_json(report: Report) -> str:
-    """Canonical JSON text for a report (byte-stable across round-trips)."""
-    payload = {
+def _payload(report: Report) -> dict:
+    """The JSON object of a report, as report_to_json writes it."""
+    return {
         "schema_version": report.schema_version,
         "plan": {
             "n_values": list(report.plan.n_values),
@@ -210,11 +211,22 @@ def report_to_json(report: Report) -> str:
             for m in report.metrics
         ],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def report_to_json(report: Report) -> str:
+    """Canonical JSON text for a report (byte-stable across round-trips)."""
+    return json.dumps(_payload(report), indent=2, sort_keys=True) + "\n"
 
 
 def _reject_constant(name: str):
     raise ValidationError(f"report JSON holds the non-finite number {name}")
+
+
+def _typed(value, kind: type, key: str):
+    """``value`` if its JSON type is exactly ``kind``: true is no int, 4.0 no int, 1 no float."""
+    if type(value) is not kind:
+        raise ValidationError(f"report JSON {key!r} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def report_from_json(text: str) -> Report:
@@ -231,30 +243,39 @@ def report_from_json(text: str) -> Report:
     try:
         plan_data = data["plan"]
         plan = BenchPlan(
-            n_values=tuple(plan_data["n_values"]),
+            n_values=tuple(_typed(n, int, "n_values") for n in plan_data["n_values"]),
             backends=tuple(
                 BackendSpec(s["kind"], s["threads"], s["processes"]) for s in plan_data["backends"]
             ),
-            repetitions=plan_data["repetitions"],
-            warmup=plan_data["warmup"],
-            seed=plan_data["seed"],
-            symmetric=plan_data["symmetric"],
+            repetitions=_typed(plan_data["repetitions"], int, "repetitions"),
+            warmup=_typed(plan_data["warmup"], int, "warmup"),
+            seed=_typed(plan_data["seed"], int, "seed"),
+            symmetric=_typed(plan_data["symmetric"], bool, "symmetric"),
         )
         report = _report(
             plan,
             data["environment"],
             (
-                InstanceSolution(s["n"], s["optimal_cost"], tuple(s["optimal_path"]))
+                InstanceSolution(
+                    _typed(s["n"], int, "n"), _typed(s["optimal_cost"], int, "optimal_cost"),
+                    tuple(_typed(city, int, "optimal_path") for city in s["optimal_path"]),
+                )
                 for s in data["solutions"]
             ),
             (
-                TimingRecord.from_runs(r["backend"], r["n"], r["p"], r["runs"])
+                TimingRecord.from_runs(
+                    r["backend"], _typed(r["n"], int, "n"), _typed(r["p"], int, "p"),
+                    [_typed(t, float, "runs") for t in r["runs"]],
+                )
                 for r in data["timings"]
             ),
         )
-        derived = json.loads(report_to_json(report))
+        derived = _payload(report)
         for key in sorted(data.keys() | derived.keys()):
-            if key not in derived or data[key] != derived[key]:
+            # compared as text, because 1 == 1.0 == True in Python but not in JSON
+            if key not in derived or (
+                json.dumps(data[key], sort_keys=True) != json.dumps(derived[key], sort_keys=True)
+            ):
                 raise ValidationError(f"report JSON {key!r} is not what its runs give")
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"report JSON is missing fields: {exc}") from None

@@ -15,8 +15,8 @@ from .errors import ExecutionError, ValidationError
 
 DEFAULT_SWEEP = "8,9,10,11,12"
 
-#: Problem sizes at or above this need the --big acknowledgment; a
-#: serial n=13 solve alone runs for hours.
+#: Problem sizes at or above this need the --big acknowledgment; one
+#: serial n=13 solve takes minutes, and a sweep runs it many times.
 BIG_N = 13
 
 
@@ -85,7 +85,7 @@ def _cmd_bench(args) -> int:
     n_values = _parse_n_list(args.n)
     if max(n_values) >= BIG_N and not args.big:
         raise ValidationError(
-            f"n >= {BIG_N} takes hours serially; pass --big to acknowledge"
+            f"n >= {BIG_N} takes minutes per serial solve; pass --big to acknowledge"
         )
     specs = tuple(backends.parse_backend_spec(tok) for tok in args.backends.split(","))
     plan = bench.BenchPlan(
@@ -164,7 +164,7 @@ def _build_parser():
     bench_p.add_argument("--asymmetric", action="store_true",
                          help="benchmark asymmetric instances")
     bench_p.add_argument("--big", action="store_true",
-                         help=f"allow n >= {BIG_N} (hours of serial runtime)")
+                         help=f"allow n >= {BIG_N} (minutes per serial solve)")
     bench_p.add_argument("--out", help="write the JSON report here (default: stdout)")
     bench_p.add_argument("--csv", help="also write raw per-run timings as CSV")
     bench_p.set_defaults(func=_cmd_bench)

@@ -3,7 +3,9 @@
 A problem instance is an immutable square matrix of non-negative
 integer trip costs.  Tours start and end at city 0, so a candidate
 solution is a permutation of the remaining labels 1 .. n-1 and the
-solver scans all (n-1)! of them keeping the cheapest.
+solver scans all (n-1)! of them keeping the cheapest.  One kernel,
+``_walk``, does every scan: a depth-first walk of the permutation tree
+in lexicographic order that carries each prefix's cost down.
 
 Among equal-cost optima the lexicographically smallest permutation
 wins.  Every backend applies the same tie-break, which makes results
@@ -17,8 +19,8 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
-from .permutation import WorkRange, factorial, next_permutation, unrank
+from .errors import ExecutionError, ValidationError
+from .permutation import WorkRange, factorial
 
 #: Hard cap on one trip cost, enforced at construction.  34 legs of
 #: 10**9 still sum well inside 64 bits, so accumulated tour costs are
@@ -33,10 +35,13 @@ INFINITE_COST = 2**63 - 1
 #: index range.
 MAX_CITIES = 34
 
+#: The scan kernel's name, recorded in every benchmark report.
+KERNEL = "prefix-walk"
+
 #: Environment variable for fault-injection tests: when set (non-empty)
-#: the range scanner keeps the costliest tour instead of the cheapest,
-#: so any harness that checks backends against the serial baseline must
-#: fail loudly.  Never set this outside tests.
+#: solve_range walks the negated costs, so it keeps the costliest tour
+#: instead of the cheapest and any harness that checks backends against
+#: the serial baseline must fail loudly.  Never set this outside tests.
 FAULT_ENV_VAR = "TSPBENCH_FAULT_INVERT"
 
 
@@ -139,30 +144,85 @@ def _fault_enabled() -> bool:
     return bool(os.environ.get(FAULT_ENV_VAR))
 
 
-def _scan(costs, perm: list[int], count: int):
-    """Evaluate ``count`` consecutive permutations starting from ``perm``
-    (mutated in place), returning (best_cost, best_perm).
+def _walk(costs, n: int, start: int, count: int):
+    """Best tour among the permutations of 1 .. n-1 with lexicographic
+    index in [start, start + count), as (best_cost, closed_path).
 
-    The strict comparison keeps the first optimum encountered, which in
-    ascending lexicographic order is the smallest optimal permutation.
+    The walk descends over the sorted remaining labels (Knuth, TAOCP
+    Vol. 4A, 7.2.1.2), so a leaf adds only its last legs to the cost of
+    its prefix, and the last three levels are unrolled.  The range
+    splits into whole subtrees and the ragged edges that lead to them;
+    factorial arithmetic skips every subtree outside it.  The strict
+    ``<`` keeps the first optimum visited, the smallest in lexicographic
+    order.
     """
+    home = [row[0] for row in costs]
+    # tails[y][z]: the last two legs y -> z -> 0 of a tour
+    tails = [[row[z] + home[z] for z in range(n)] for row in costs]
+    prefix = [0]
     best_cost = INFINITE_COST
-    best_perm = None
-    remaining = count
-    while remaining > 0:
-        cost = 0
-        prev = 0
-        for city in perm:
-            cost += costs[prev][city]
-            prev = city
-        cost += costs[prev][0]
-        if cost < best_cost:
-            best_cost = cost
-            best_perm = perm.copy()
-        remaining -= 1
-        if remaining and not next_permutation(perm):
-            raise ValidationError("scan ran past the last permutation")
-    return best_cost, best_perm
+    best_path = None
+    visited = 0
+
+    def subtree(last, cost, rem):
+        # every ordering of ``rem`` after ``prefix``, whose cost is ``cost``
+        nonlocal best_cost, best_path, visited
+        row = costs[last]
+        if len(rem) != 3:
+            if not rem:  # a leaf below a ragged edge, or of a tour of n < 4
+                visited += 1
+                if cost + home[last] < best_cost:
+                    best_cost, best_path = cost + home[last], (*prefix, 0)
+            for i, x in enumerate(rem):
+                prefix.append(x)
+                subtree(x, cost + row[x], rem[:i] + rem[i + 1 :])
+                prefix.pop()
+            return
+        a, b, c = rem
+        ra, rb, rc = costs[a], costs[b], costs[c]
+        ta, tb, tc = tails[a], tails[b], tails[c]
+        best = best_cost
+        x = cost + row[a]
+        if x + ra[b] + tb[c] < best:
+            best, best_path = x + ra[b] + tb[c], (*prefix, a, b, c, 0)
+        if x + ra[c] + tc[b] < best:
+            best, best_path = x + ra[c] + tc[b], (*prefix, a, c, b, 0)
+        x = cost + row[b]
+        if x + rb[a] + ta[c] < best:
+            best, best_path = x + rb[a] + ta[c], (*prefix, b, a, c, 0)
+        if x + rb[c] + tc[a] < best:
+            best, best_path = x + rb[c] + tc[a], (*prefix, b, c, a, 0)
+        x = cost + row[c]
+        if x + rc[a] + ta[b] < best:
+            best, best_path = x + rc[a] + ta[b], (*prefix, c, a, b, 0)
+        if x + rc[b] + tb[a] < best:
+            best, best_path = x + rc[b] + tb[a], (*prefix, c, b, a, 0)
+        best_cost = best
+        visited += 6
+
+    def edge(last, cost, rem, lo, hi):
+        # leaves lo .. hi-1 of the subtree below ``prefix``, a strict part of it
+        size = factorial(len(rem) - 1)  # leaves below each child
+        row = costs[last]
+        for i in range(lo // size, (hi - 1) // size + 1):
+            x = rem[i]
+            child_lo = max(lo - i * size, 0)
+            child_hi = min(hi - i * size, size)
+            prefix.append(x)
+            if child_hi - child_lo == size:
+                subtree(x, cost + row[x], rem[:i] + rem[i + 1 :])
+            else:
+                edge(x, cost + row[x], rem[:i] + rem[i + 1 :], child_lo, child_hi)
+            prefix.pop()
+
+    labels = tuple(range(1, n))
+    if count == factorial(n - 1):
+        subtree(0, 0, labels)
+    else:
+        edge(0, 0, labels, start, start + count)
+    if visited != count:
+        raise ExecutionError(f"scan visited {visited} permutations, expected {count}")
+    return best_cost, best_path
 
 
 def solve_serial(matrix: CostMatrix) -> SolveResult:
@@ -172,18 +232,17 @@ def solve_serial(matrix: CostMatrix) -> SolveResult:
     n = matrix.n
     check_city_count(n)
     total = factorial(n - 1)
-    perm = list(range(1, n))
-    best_cost, best_perm = _scan(matrix.costs, perm, total)
-    return SolveResult(best_cost, (0, *best_perm, 0), total)
+    best_cost, best_path = _walk(matrix.costs, n, 0, total)
+    return SolveResult(best_cost, best_path, total)
 
 
 def solve_range(matrix: CostMatrix, work: WorkRange) -> SolveResult:
     """Best tour among permutations with lexicographic indices in
     [work.start, work.end); the primitive every worker runs.
 
-    One unrank call seeds the scan and successive candidates come from
-    next_permutation, so a worker only pays the unranking cost once.
-    An empty range yields the infinite-cost sentinel.
+    The walk reaches the first index by factorial arithmetic, so a
+    worker pays nothing for the permutations before its range.  An
+    empty range yields the infinite-cost sentinel.
     """
     n = matrix.n
     check_city_count(n)
@@ -195,12 +254,11 @@ def solve_range(matrix: CostMatrix, work: WorkRange) -> SolveResult:
     if work.count == 0:
         return EMPTY_RESULT
     costs = matrix.costs
-    if _fault_enabled():  # keep the first costliest tour: scan negated costs
+    if _fault_enabled():  # keep the first costliest tour: walk negated costs
         costs = tuple(tuple(-cost for cost in row) for row in costs)
-    perm = unrank(work.start, range(1, n))
-    best_cost, best_perm = _scan(costs, perm, work.count)
+    best_cost, best_path = _walk(costs, n, work.start, work.count)
     # abs() undoes the negation: a real tour cost is never negative
-    return SolveResult(abs(best_cost), (0, *best_perm, 0), work.count)
+    return SolveResult(abs(best_cost), best_path, work.count)
 
 
 def better_result(a: SolveResult, b: SolveResult) -> SolveResult:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +176,38 @@ class TestReportSerialization:
         row[key] = change(row.get(key))
         text = json.dumps(data)
         with pytest.raises(ValidationError, match=section or key):
+            report_from_json(text)
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert cli_dispatch(["metrics", "--input", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda data: data["timings"][2].update(p=4.0), "'p' must be int"),
+            (lambda data: data["timings"][0].update(runs=[True, True]), "'runs' must be float"),
+            (lambda data: data["plan"].update(seed=True), "'seed' must be int"),
+            (lambda data: data["plan"].update(n_values=[4.0]), "'n_values' must be int"),
+            (lambda data: data["plan"].update(symmetric=1), "'symmetric' must be bool"),
+            (lambda data: data["solutions"][0].update(optimal_cost=80.0), "'optimal_cost' must"),
+            (lambda data: data["plan"]["backends"][1].update(threads=True), "needs threads >= 1"),
+            (lambda data: data["metrics"][1].update(speedup=True), "'metrics' is not what"),
+            (lambda data: data["metrics"][0].update(p=4.0, karp_flatt=0), "'metrics' is not what"),
+            (lambda data: data["timings"][1].update(mean_seconds=True), "'timings' is not what"),
+        ],
+        ids=["float-p", "boolean-runs", "boolean-seed", "float-n", "integer-symmetric",
+             "float-cost", "boolean-threads", "boolean-speedup", "float-metrics-p", "boolean-mean"],
+    )
+    def test_number_of_the_wrong_json_type_rejected(self, tmp_path, capsys, change, message):
+        # 4 == 4.0 == True in Python, so none of these fails an == check
+        # against the rebuilt report
+        data = json.loads(GOLDEN_JSON)
+        change(data)
+        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        with pytest.raises(ValidationError, match=message):
             report_from_json(text)
         path = tmp_path / "report.json"
         path.write_text(text)
@@ -380,3 +413,13 @@ GOLDEN_JSON = """\
   ]
 }
 """
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json")),
+    ids=lambda path: path.name,
+)
+def test_checked_in_bench_report_reads(path, capsys):
+    assert cli_dispatch(["metrics", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(METRICS_CSV_HEADER + "\n")
+    assert " | kernel " in report_from_json(path.read_text()).environment
