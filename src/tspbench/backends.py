@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-from .core import EMPTY_RESULT, CostMatrix, SolveResult, check_city_count, path_cost, reduce_results
+from .core import EMPTY_RESULT, CostMatrix, SolveResult, path_cost, reduce_results
 from .core import solve_range, solve_serial
 from .errors import ExecutionError, ProtocolError, ValidationError
 from .permutation import WorkRange, factorial, partition
@@ -111,13 +111,13 @@ def solve(matrix: CostMatrix, spec: BackendSpec) -> SolveResult:
     """Run one solve with the given backend configuration."""
     if spec.kind == "serial":
         return solve_serial(matrix)
-    check_city_count(matrix.n)
     threads = spec.threads or 1
     groups = hybrid_ranges(factorial(matrix.n - 1), spec.processes or 1, threads)
     spans = [WorkRange(group[0].start, group[-1].end) for group in groups]
     if spec.kind == "shared_memory":
         return solve_interval_team(matrix, spans[0], threads)
-    return reduce_results(_run_workers(matrix, spans, partial(_spawn_worker, matrix, threads)))
+    workers = _run_workers(matrix, spans, partial(_spawn_worker, matrix, threads), os.killpg)
+    return reduce_results(workers)
 
 
 def hybrid_ranges(total: int, processes: int, threads: int) -> list[list[WorkRange]]:
@@ -195,11 +195,13 @@ def _reap(idx: int, pid: int) -> int:
     return os.waitstatus_to_exitcode(waited[1])
 
 
-def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start) -> list[SolveResult]:
+def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, kill=os.kill):
     """Start a child per span by ``start(work, fd) -> pid``, ``fd`` being
     its reply pipe; then, in worker order, read each reply, reap that
     child and check the reply.  The first failure aborts the solve, and
-    every exit path closes every pipe and kills and reaps the rest."""
+    every exit path closes every pipe and kills the rest by
+    ``kill(pid, SIGKILL)`` (os.killpg for a group leader, so its team
+    dies with it) and reaps them."""
     if not (hasattr(os, "fork") and hasattr(os, "posix_spawnp")):
         raise ExecutionError(f"fork and posix_spawn unavailable on {sys.platform}")
     workers: list[tuple[int, int]] = []  # (pid, reply read end) of every started child
@@ -229,7 +231,7 @@ def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start) -> list[Solv
         for idx, (pid, fd) in enumerate(workers):
             os.close(fd)
             if idx >= reaped:  # not reaped, so the pid is still ours to kill
-                os.kill(pid, signal.SIGKILL)
+                kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
@@ -265,8 +267,9 @@ def _worker_env() -> dict:
 
 
 def _spawn_worker(matrix: CostMatrix, threads: int, work: WorkRange, fd: int) -> int:
-    """Start a worker interpreter that answers on ``fd``, and send it its
-    span, the team size ``threads`` and the shutdown in one write."""
+    """Start a worker interpreter that answers on ``fd``, as the leader of
+    a new process group that its fork team joins, and send it its span,
+    the team size ``threads`` and the shutdown in one write."""
     cmd = worker_command()
     task_in, task_out = os.pipe()
     stdio = [(os.POSIX_SPAWN_DUP2, task_in, 0), (os.POSIX_SPAWN_DUP2, fd, 1)]
@@ -274,7 +277,7 @@ def _spawn_worker(matrix: CostMatrix, threads: int, work: WorkRange, fd: int) ->
         with open(task_out, "w", encoding="utf-8") as pipe:
             try:
                 pid = os.posix_spawnp(cmd[0], cmd, _worker_env(), file_actions=stdio,
-                                      setsigdef=(signal.SIGPIPE,))
+                                      setpgroup=0, setsigdef=(signal.SIGPIPE,))
             finally:
                 os.close(task_in)
             pipe.write(task_message(matrix.costs, work, threads) + shutdown_message())

@@ -32,7 +32,7 @@ from typing import Iterable
 
 from . import backends as _backends
 from .backends import BackendSpec
-from .core import KERNEL, CostMatrix, SolveResult
+from .core import KERNEL, CostMatrix, SolveResult, check_city_count
 from .errors import CorrectnessError, ExecutionError, ValidationError
 from .instances import generate_instance
 from .metrics import MetricsRow, TimingRecord, build_metrics_table
@@ -62,8 +62,7 @@ class BenchPlan:
         if not self.n_values:
             raise ValidationError("plan needs at least one problem size")
         for n in self.n_values:
-            if n < 2:
-                raise ValidationError(f"problem size must be >= 2, got {n}")
+            check_city_count(n)
         if not self.backends:
             raise ValidationError("plan needs at least one backend")
         if self.repetitions < 1:
@@ -219,7 +218,7 @@ def report_to_json(report: Report) -> str:
 
 
 def _reject_constant(name: str):
-    raise ValidationError(f"report JSON holds the non-finite number {name}")
+    raise ValueError(f"non-finite number {name}")
 
 
 def _typed(value, kind: type, key: str):
@@ -232,7 +231,7 @@ def _typed(value, kind: type, key: str):
 def report_from_json(text: str) -> Report:
     try:
         data = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also NaN, too many digits, too deep
         raise ValidationError(f"malformed report JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"report JSON must be an object, got {type(data).__name__}")
@@ -279,6 +278,8 @@ def report_from_json(text: str) -> Report:
                 raise ValidationError(f"report JSON {key!r} is not what its runs give")
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"report JSON is missing fields: {exc}") from None
+    except OverflowError as exc:  # an int too large for a float
+        raise ValidationError(f"report JSON holds an unusable number: {exc}") from None
     return report
 
 

@@ -43,7 +43,7 @@ def _load_matrix(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read instance file: {exc}") from None
     return parse_instance(text)
 
@@ -70,32 +70,28 @@ def _cmd_solve(args) -> int:
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
+    try:  # BenchPlan rejects an empty list and any size out of range
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ValidationError(f"bad problem-size list {text!r}") from None
-    if not values:
-        raise ValidationError(f"bad problem-size list {text!r}")
-    return values
 
 
 def _cmd_bench(args) -> int:
     from . import backends, bench
 
-    n_values = _parse_n_list(args.n)
-    if max(n_values) >= BIG_N and not args.big:
-        raise ValidationError(
-            f"n >= {BIG_N} takes minutes per serial solve; pass --big to acknowledge"
-        )
     specs = tuple(backends.parse_backend_spec(tok) for tok in args.backends.split(","))
     plan = bench.BenchPlan(
-        n_values=n_values,
+        n_values=_parse_n_list(args.n),
         backends=specs,
         repetitions=args.reps,
         warmup=args.warmup,
         seed=args.seed,
         symmetric=not args.asymmetric,
     )
+    if max(plan.n_values) >= BIG_N and not args.big:
+        raise ValidationError(
+            f"n >= {BIG_N} takes minutes per serial solve; pass --big to acknowledge"
+        )
     report = bench.run_bench(plan)
     text = bench.report_to_json(report)
     if args.out:
@@ -113,7 +109,7 @@ def _cmd_metrics(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             report = bench.report_from_json(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read report: {exc}") from None
     text = bench.metrics_csv_text(report)
     if args.out:

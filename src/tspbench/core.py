@@ -45,6 +45,13 @@ KERNEL = "prefix-walk"
 FAULT_ENV_VAR = "TSPBENCH_FAULT_INVERT"
 
 
+def check_city_count(n: int) -> None:
+    """The one size rule.  It is checked only where a size enters the
+    program, CostMatrix included, so every CostMatrix is solvable."""
+    if not 2 <= n <= MAX_CITIES:
+        raise ValidationError(f"city count must be in 2 .. {MAX_CITIES}, got {n}")
+
+
 @dataclass(frozen=True)
 class CostMatrix:
     """Square grid of non-negative integer trip costs with a zero
@@ -58,8 +65,7 @@ class CostMatrix:
         rows = tuple(tuple(row) for row in self.costs)
         object.__setattr__(self, "costs", rows)
         n = len(rows)
-        if n < 2:
-            raise ValidationError(f"need at least 2 cities, got {n}")
+        check_city_count(n)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValidationError(
@@ -111,11 +117,6 @@ class SolveResult:
 EMPTY_RESULT = SolveResult(INFINITE_COST, (), 0)
 
 
-def check_city_count(n: int) -> None:
-    if not 2 <= n <= MAX_CITIES:
-        raise ValidationError(f"city count must be in 2 .. {MAX_CITIES}, got {n}")
-
-
 def path_cost(perm: Sequence[int], matrix: CostMatrix) -> int:
     """Cost of the closed tour 0 -> perm[0] -> ... -> perm[-1] -> 0.
 
@@ -150,11 +151,12 @@ def _walk(costs, n: int, start: int, count: int):
 
     The walk descends over the sorted remaining labels (Knuth, TAOCP
     Vol. 4A, 7.2.1.2), so a leaf adds only its last legs to the cost of
-    its prefix, and the last three levels are unrolled.  The range
-    splits into whole subtrees and the ragged edges that lead to them;
-    factorial arithmetic skips every subtree outside it.  The strict
-    ``<`` keeps the first optimum visited, the smallest in lexicographic
-    order.
+    its prefix, and the last three levels are unrolled.  The walk enters
+    once, at the root's edge over the range, which splits it into whole
+    subtrees and the ragged edges that lead to them (a full range is all
+    subtrees); factorial arithmetic skips every subtree outside it.  The
+    strict ``<`` keeps the first optimum visited, the smallest in
+    lexicographic order.
     """
     home = [row[0] for row in costs]
     # tails[y][z]: the last two legs y -> z -> 0 of a tour
@@ -201,7 +203,8 @@ def _walk(costs, n: int, start: int, count: int):
         visited += 6
 
     def edge(last, cost, rem, lo, hi):
-        # leaves lo .. hi-1 of the subtree below ``prefix``, a strict part of it
+        # leaves lo .. hi-1 of the subtree below ``prefix``; a child wholly
+        # inside them is a subtree, one cut by lo or hi an edge again
         size = factorial(len(rem) - 1)  # leaves below each child
         row = costs[last]
         for i in range(lo // size, (hi - 1) // size + 1):
@@ -215,11 +218,7 @@ def _walk(costs, n: int, start: int, count: int):
                 edge(x, cost + row[x], rem[:i] + rem[i + 1 :], child_lo, child_hi)
             prefix.pop()
 
-    labels = tuple(range(1, n))
-    if count == factorial(n - 1):
-        subtree(0, 0, labels)
-    else:
-        edge(0, 0, labels, start, start + count)
+    edge(0, 0, tuple(range(1, n)), start, start + count)
     if visited != count:
         raise ExecutionError(f"scan visited {visited} permutations, expected {count}")
     return best_cost, best_path
@@ -230,7 +229,6 @@ def solve_serial(matrix: CostMatrix) -> SolveResult:
     cheapest; the reference every parallel backend is checked against.
     """
     n = matrix.n
-    check_city_count(n)
     total = factorial(n - 1)
     best_cost, best_path = _walk(matrix.costs, n, 0, total)
     return SolveResult(best_cost, best_path, total)
@@ -245,7 +243,6 @@ def solve_range(matrix: CostMatrix, work: WorkRange) -> SolveResult:
     empty range yields the infinite-cost sentinel.
     """
     n = matrix.n
-    check_city_count(n)
     total = factorial(n - 1)
     if work.end > total:
         raise ValidationError(
@@ -299,8 +296,7 @@ def parse_instance(text: str) -> CostMatrix:
         n = int(head)
     except ValueError:
         raise ValidationError(f"line 1: expected the city count, got {head!r}") from None
-    if n < 2:
-        raise ValidationError(f"line 1: city count must be >= 2, got {n}")
+    check_city_count(n)
     if len(lines) - 1 != n:
         raise ValidationError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []

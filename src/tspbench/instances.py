@@ -11,8 +11,7 @@ which is what makes golden regression costs meaningful.
 
 from __future__ import annotations
 
-from .core import MAX_CITIES, CostMatrix
-from .errors import ValidationError
+from .core import CostMatrix, check_city_count
 
 _MASK64 = (1 << 64) - 1
 
@@ -48,8 +47,7 @@ def generate_instance(n: int, seed: int, symmetric: bool = True) -> CostMatrix:
     off-diagonal cells; symmetric instances draw the upper triangle
     only and mirror it.  The diagonal is zero.
     """
-    if not 2 <= n <= MAX_CITIES:
-        raise ValidationError(f"city count must be in 2 .. {MAX_CITIES}, got {n}")
+    check_city_count(n)
     rng = SplitMix64(seed)
     grid = [[0] * n for _ in range(n)]
     if symmetric:

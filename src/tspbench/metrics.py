@@ -67,7 +67,7 @@ class TimingRecord:
     @classmethod
     def from_runs(cls, backend: str, n: int, p: int, runs: Iterable[float]) -> "TimingRecord":
         runs = tuple(runs)
-        return cls(backend=backend, n=n, p=p, runs=runs, mean_time=fmean(runs))
+        return cls(backend=backend, n=n, p=p, runs=runs, mean_time=fmean(runs) if runs else 0.0)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from .permutation import WorkRange
 
 PROTOCOL_VERSION = 1
 
-_MESSAGE_TYPES = {"task", "result", "error", "shutdown"}
+#: A tuple, not a set: a list or object "type" is unknown, not a TypeError.
+_MESSAGE_TYPES = ("task", "result", "error", "shutdown")
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def parse_message(line: str) -> dict:
     a JSON object with a supported version and a known type."""
     try:
         msg = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
         raise ProtocolError(f"malformed message line: {exc}") from None
     if not isinstance(msg, dict):
         raise ProtocolError(f"message is not an object: {line.strip()!r}")
@@ -97,9 +98,12 @@ def _require_int(msg: dict, key: str, minimum: int) -> int:
 
 def _require_index(msg: dict, key: str) -> int:
     value = msg.get(key)
-    if not isinstance(value, str) or not value.isascii() or not value.isdigit():
-        raise ProtocolError(f"field {key!r} must be a decimal string, got {value!r}")
-    return int(value)
+    try:
+        if isinstance(value, str) and value.isascii() and value.isdigit():
+            return int(value)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ProtocolError(f"field {key!r} must be a decimal string, got {value!r}")
 
 
 def decode_task(msg: dict) -> Task:

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import pytest
 
@@ -12,6 +13,17 @@ FOUR_CITY_ROWS = (
     (15, 35, 0, 30),
     (20, 25, 30, 0),
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail any test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child {pid} unreaped" if pid else "the test left a child running")
 
 
 @pytest.fixture

@@ -15,7 +15,8 @@ from tspbench.backends import (
     solve_message_passing,
     solve_shared_memory,
 )
-from tspbench.core import FAULT_ENV_VAR, SolveResult, solve_range, solve_serial
+from tspbench.cli import cli_dispatch
+from tspbench.core import FAULT_ENV_VAR, SolveResult, format_instance, solve_range, solve_serial
 from tspbench.errors import ExecutionError, ProtocolError, ValidationError
 from tspbench.instances import generate_instance
 from tspbench.permutation import WorkRange, factorial, partition
@@ -239,6 +240,71 @@ class TestWorkerInterpreterFailures:
         with pytest.raises(ExecutionError, match="worker 0 exited with code 3"):
             solve_message_passing(four_city_matrix, 1)
         assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            '{"v":1,"type":"result","cost":%s,"path":[0,1,3,2,0],"evaluated":"6"}' % ("9" * 5000),
+            '{"v":1,"type":"result","cost":80,"path":[0,1,3,2,0],"evaluated":"%s"}' % ("9" * 5000),
+            "[" * 100_000,
+            '{"v":1,"type":["result"]}',
+        ],
+        ids=["oversized-cost", "oversized-evaluated", "deep-nesting", "list-type"],
+    )
+    def test_unusual_json_reply_exits_2_naming_the_worker(
+        self, tmp_path, monkeypatch, capsys, four_city_matrix, reply
+    ):
+        install_fake_worker(tmp_path, monkeypatch, f"sys.stdin.readline()\nprint({reply!r})\n")
+        instance = tmp_path / "m.txt"
+        instance.write_text(format_instance(four_city_matrix))
+        argv = ["solve", "--input", str(instance), "--backend", "message_passing", "--procs", "1"]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: worker 0: ")
+
+
+def live_processes_running(path):
+    """Pids of the live (not zombie) processes whose argv holds ``path``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                argv = fh.read().split(b"\0")
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                state = fh.read().rsplit(b")", 1)[1].split()[0]
+        except (OSError, IndexError):  # not a process, or gone meanwhile
+            continue
+        if os.fsencode(path) in argv and state not in (b"Z", b"X"):
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc to find grandchildren")
+def test_failed_hybrid_solve_leaves_no_team_member_running(tmp_path, monkeypatch):
+    # Worker 0 fails after 1 s.  Worker 1 runs the real worker, whose two
+    # forked members would scan for far longer if the failure did not
+    # kill them along with worker 1; they are not our children, so only
+    # /proc can see them.
+    install_fake_worker(tmp_path, monkeypatch, (
+        "import io, time\n"
+        "task = sys.stdin.readline()\n"
+        'if json.loads(task)["start"] == "0":\n'
+        "    time.sleep(1)\n"
+        '    print(json.dumps({"v": 1, "type": "error", "message": "synthetic"}), flush=True)\n'
+        "    sys.exit(1)\n"
+        "from tspbench.worker import run_worker\n"
+        "sys.exit(run_worker(io.StringIO(task + sys.stdin.read())))\n"
+    ))
+    with pytest.raises(ExecutionError, match="worker 0 failed: synthetic"):
+        solve_hybrid(generate_instance(13, 0), 2, 2)
+    deadline = time.monotonic() + 5  # SIGKILLed members take a moment to exit
+    while (survivors := live_processes_running(tmp_path / "fake_worker.py")) and (
+        time.monotonic() < deadline
+    ):
+        time.sleep(0.05)
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"team members {survivors} outlived the failed solve"
 
 
 class TestHybrid:

@@ -423,3 +423,39 @@ def test_checked_in_bench_report_reads(path, capsys):
     assert cli_dispatch(["metrics", "--input", str(path)]) == 0
     assert capsys.readouterr().out.startswith(METRICS_CSV_HEADER + "\n")
     assert " | kernel " in report_from_json(path.read_text()).environment
+
+
+def _with_placeholder(change, value):
+    """GOLDEN_JSON after ``change(data)``, with the string PLACEHOLDER it
+    puts somewhere replaced by the raw JSON text ``value``."""
+    data = json.loads(GOLDEN_JSON)
+    change(data)
+    return json.dumps(data).replace('"PLACEHOLDER"', value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _with_placeholder(lambda data: data["plan"].update(seed="PLACEHOLDER"), "9" * 5000),
+        _with_placeholder(lambda data: data.update(plan="PLACEHOLDER"), "[" * 100_000),
+        _with_placeholder(lambda data: data["timings"][0].update(runs=[]), ""),
+        _with_placeholder(lambda data: data["timings"][1].update(p=10**400), ""),
+    ],
+    ids=["oversized-integer", "deep-nesting", "no-runs", "p-beyond-float"],
+)
+def test_unusual_json_report_is_validation_error(tmp_path, capsys, text):
+    with pytest.raises(ValidationError):
+        report_from_json(text)
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert cli_dispatch(["metrics", "--input", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_report_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(b"\xff" + GOLDEN_JSON.encode())
+    assert cli_dispatch(["metrics", "--input", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read report")

@@ -203,3 +203,11 @@ def test_correctness_failure_exits_two(tmp_path, monkeypatch):
          "--out", str(tmp_path / "r.json")]
     ) == 2
     assert not (tmp_path / "r.json").exists()
+
+
+def test_solve_instance_that_is_not_utf8_exits_1(tmp_path, capsys):
+    instance = tmp_path / "m.txt"
+    instance.write_bytes(b"2\n0,1\n1,0\n\xff\n")
+    assert cli_dispatch(["solve", "--input", str(instance)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read instance file")

@@ -122,3 +122,40 @@ def test_result_field_validation():
         decode_result(corrupted(path="0,1,2,0"))
     with pytest.raises(ProtocolError):
         decode_result(corrupted(evaluated=2))
+
+
+#: Longer than the 4,300 digits that int() converts by default.
+HUGE_DIGITS = "9" * 5000
+#: Deeper than the JSON decoder's recursion limit.
+DEEP_NESTING = "[" * 100_000
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        f'{{"v":1,"type":"result","cost":{HUGE_DIGITS}}}\n',
+        DEEP_NESTING + "\n",
+        '{"v":1,"type":["result"]}\n',
+    ],
+    ids=["oversized-integer", "deep-nesting", "list-type"],
+)
+def test_unusual_json_is_protocol_error(line):
+    with pytest.raises(ProtocolError):
+        parse_message(line)
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        (result_message(SolveResult(3, (0, 1, 0), 1)), "evaluated"),
+        (task_message(ROWS, WorkRange(0, 2), 1), "start"),
+        (task_message(ROWS, WorkRange(0, 2), 1), "end"),
+    ],
+    ids=["result-evaluated", "task-start", "task-end"],
+)
+def test_oversized_index_is_protocol_error(line, key):
+    msg = parse_message(line)
+    msg[key] = HUGE_DIGITS
+    decode = decode_result if msg["type"] == "result" else decode_task
+    with pytest.raises(ProtocolError, match=f"field '{key}'"):
+        decode(msg)
