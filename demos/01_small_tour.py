@@ -2,7 +2,7 @@
 """Walk through one tiny instance: every tour, its cost, and how the
 canonical optimum is chosen."""
 
-from tspbench import CostMatrix, path_cost, solve_serial
+from tspbench.core import CostMatrix, path_cost, solve_serial
 from tspbench.permutation import factorial, unrank
 
 ROWS = (

@@ -1,53 +1,20 @@
 """Exact brute-force TSP with interchangeable parallel backends.
 
-The core library (instances, tour costs, the exhaustive solver, and the
-permutation index arithmetic that partitions the search space) lives in
-this namespace.  Execution backends, the benchmark harness and the wire
-protocol are submodules: ``tspbench.backends``, ``tspbench.bench``,
-``tspbench.metrics``, ``tspbench.instances``, ``tspbench.protocol``.
+Importing the package loads no submodule; import each name from the
+module that defines it:
+
+* ``tspbench.core``: the instance type, tour costs, the scan kernel and
+  the serial and range solvers, result reduction, the instance file format;
+* ``tspbench.permutation``: lexicographic permutation indices and the
+  work-range partitioner;
+* ``tspbench.instances``: deterministic instance generation;
+* ``tspbench.backends``: the parallel executor and backend specs;
+* ``tspbench.protocol``: the coordinator/worker wire protocol;
+* ``tspbench.worker``: the worker-mode entry point;
+* ``tspbench.bench``: benchmark sweeps and their reports;
+* ``tspbench.metrics``: speedup, efficiency and the Karp-Flatt metric;
+* ``tspbench.errors``: the exception hierarchy;
+* ``tspbench.cli``: the command-line interface.
 """
 
-from .core import (
-    CostMatrix,
-    SolveResult,
-    better_result,
-    format_instance,
-    parse_instance,
-    path_cost,
-    reduce_results,
-    solve_range,
-    solve_serial,
-)
-from .errors import (
-    CapacityError,
-    CorrectnessError,
-    ExecutionError,
-    ProtocolError,
-    ValidationError,
-)
-from .permutation import WorkRange, factorial, next_permutation, partition, rank, unrank
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapacityError",
-    "CorrectnessError",
-    "CostMatrix",
-    "ExecutionError",
-    "ProtocolError",
-    "SolveResult",
-    "ValidationError",
-    "WorkRange",
-    "better_result",
-    "factorial",
-    "format_instance",
-    "next_permutation",
-    "parse_instance",
-    "partition",
-    "path_cost",
-    "rank",
-    "reduce_results",
-    "solve_range",
-    "solve_serial",
-    "unrank",
-]

@@ -116,7 +116,7 @@ def solve(matrix: CostMatrix, spec: BackendSpec) -> SolveResult:
     spans = [WorkRange(group[0].start, group[-1].end) for group in groups]
     if spec.kind == "shared_memory":
         return solve_interval_team(matrix, spans[0], threads)
-    workers = _run_workers(matrix, spans, partial(_spawn_worker, matrix, threads), os.killpg)
+    workers = _run_workers(matrix, spans, partial(_spawn_worker, matrix, threads), groups=True)
     return reduce_results(workers)
 
 
@@ -170,8 +170,11 @@ def _reply(idx: int, line: str, work: WorkRange, code: int, matrix: CostMatrix) 
 def _team_member(matrix: CostMatrix, work: WorkRange, fd: int):
     """Forked child: write one reply line to ``fd`` and leave by os._exit,
     never returning into the caller's stack nor flushing inherited
-    stdio (in a hybrid worker, stdout is the wire)."""
+    stdio.  Its stdout becomes ``fd`` first: in a hybrid worker the
+    inherited stdout is the coordinator's reply pipe, which must see EOF
+    as soon as the worker dies, not when its team does."""
     try:
+        os.dup2(fd, 1)
         try:
             line = result_message(solve_range(matrix, work))
         except Exception as exc:
@@ -195,13 +198,14 @@ def _reap(idx: int, pid: int) -> int:
     return os.waitstatus_to_exitcode(waited[1])
 
 
-def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, kill=os.kill):
+def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, groups=False):
     """Start a child per span by ``start(work, fd) -> pid``, ``fd`` being
     its reply pipe; then, in worker order, read each reply, reap that
     child and check the reply.  The first failure aborts the solve, and
-    every exit path closes every pipe and kills the rest by
-    ``kill(pid, SIGKILL)`` (os.killpg for a group leader, so its team
-    dies with it) and reaps them."""
+    every exit path closes every pipe and kills the rest and reaps them.
+    With ``groups`` each child leads a process group that its fork team
+    joins, and every kill is of the group, so a team dies with its
+    worker."""
     if not (hasattr(os, "fork") and hasattr(os, "posix_spawnp")):
         raise ExecutionError(f"fork and posix_spawn unavailable on {sys.platform}")
     workers: list[tuple[int, int]] = []  # (pid, reply read end) of every started child
@@ -223,6 +227,14 @@ def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, kill=os.kill
                 line = reply.readline()
             code = _reap(idx, pid)
             reaped += 1
+            if groups and not line:
+                # Its team may run on.  Killed after the reap, which keeps
+                # the exit code real: the reaped pid stays the team's group
+                # id while a member lives, so the signal reaches no stranger.
+                try:
+                    os.killpg(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
             results.append(_reply(idx, line, work, code, matrix))
             if code != 0:
                 raise ExecutionError(f"worker {idx} exited with code {code} after its result")
@@ -231,7 +243,7 @@ def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, kill=os.kill
         for idx, (pid, fd) in enumerate(workers):
             os.close(fd)
             if idx >= reaped:  # not reaped, so the pid is still ours to kill
-                kill(pid, signal.SIGKILL)
+                (os.killpg if groups else os.kill)(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 import json
 import os
 import platform
+import reprlib
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from statistics import median
-from typing import Iterable
 
-from . import backends as _backends
-from .backends import BackendSpec
+from .backends import BackendSpec, solve
 from .core import KERNEL, CostMatrix, SolveResult, check_city_count
 from .errors import CorrectnessError, ExecutionError, ValidationError
 from .instances import generate_instance
@@ -108,7 +108,7 @@ def describe_environment() -> str:
 
 def _timed_solve(matrix: CostMatrix, spec: BackendSpec) -> tuple[float, SolveResult]:
     t0 = time.perf_counter()
-    result = _backends.solve(matrix, spec)
+    result = solve(matrix, spec)
     elapsed = time.perf_counter() - t0
     if elapsed <= 0:
         raise ExecutionError("monotonic clock did not advance across a solve")
@@ -224,7 +224,9 @@ def _reject_constant(name: str):
 def _typed(value, kind: type, key: str):
     """``value`` if its JSON type is exactly ``kind``: true is no int, 4.0 no int, 1 no float."""
     if type(value) is not kind:
-        raise ValidationError(f"report JSON {key!r} must be {kind.__name__}, got {value!r}")
+        raise ValidationError(
+            f"report JSON {key!r} must be {kind.__name__}, got {reprlib.repr(value)}"
+        )
     return value
 
 
@@ -237,7 +239,8 @@ def report_from_json(text: str) -> Report:
         raise ValidationError(f"report JSON must be an object, got {type(data).__name__}")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(
-            f"unsupported report schema {data.get('schema_version')!r}, expected {SCHEMA_VERSION!r}"
+            f"unsupported report schema {reprlib.repr(data.get('schema_version'))}, "
+            f"expected {SCHEMA_VERSION!r}"
         )
     try:
         plan_data = data["plan"]

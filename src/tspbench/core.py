@@ -16,8 +16,9 @@ partitioned or in which order partial results were combined.
 from __future__ import annotations
 
 import os
+import reprlib
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import ExecutionError, ValidationError
 from .permutation import WorkRange, factorial
@@ -78,7 +79,7 @@ class CostMatrix:
                     raise ValidationError(f"cost[{i}][{j}] is negative: {cost}")
                 if cost > MAX_COST:
                     raise ValidationError(
-                        f"cost[{i}][{j}] = {cost} exceeds the maximum {MAX_COST}"
+                        f"cost[{i}][{j}] = {reprlib.repr(cost)} exceeds the maximum {MAX_COST}"
                     )
             if row[i] != 0:
                 raise ValidationError(f"diagonal entry [{i}][{i}] must be 0, got {row[i]}")
@@ -279,12 +280,21 @@ def reduce_results(results: Iterable[SolveResult]) -> SolveResult:
     return SolveResult(best.optimal_cost, best.optimal_path, evaluated)
 
 
+def _parse_int(text: str) -> int:
+    """An integer in the instance format: an optional ``-`` and ASCII
+    digits, nothing of Python's wider syntax (``+``, ``_``, other scripts)."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_instance(text: str) -> CostMatrix:
     """Parse the plain-text instance format.
 
     Line 1 is the city count n; lines 2 .. n+1 hold n comma-separated
-    non-negative integers each.  Ragged rows, negative entries and a
-    nonzero diagonal are rejected.
+    non-negative integers each, in ASCII digits.  Ragged rows, negative
+    entries and a nonzero diagonal are rejected.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -293,9 +303,10 @@ def parse_instance(text: str) -> CostMatrix:
         raise ValidationError("empty instance file")
     head = lines[0].strip()
     try:
-        n = int(head)
+        n = _parse_int(head)
     except ValueError:
-        raise ValidationError(f"line 1: expected the city count, got {head!r}") from None
+        head = reprlib.repr(head)
+        raise ValidationError(f"line 1: expected the city count, got {head}") from None
     check_city_count(n)
     if len(lines) - 1 != n:
         raise ValidationError(f"expected {n} matrix rows, found {len(lines) - 1}")
@@ -305,7 +316,7 @@ def parse_instance(text: str) -> CostMatrix:
         if len(parts) != n:
             raise ValidationError(f"line {lineno}: expected {n} values, got {len(parts)}")
         try:
-            rows.append(tuple(int(p) for p in parts))
+            rows.append(tuple(_parse_int(p) for p in parts))
         except ValueError:
             raise ValidationError(f"line {lineno}: non-integer cost entry") from None
     return CostMatrix(tuple(rows))

@@ -3,9 +3,9 @@ fraction (Karp-Flatt metric) over timing records."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Iterable, Mapping
 
 from .errors import ValidationError
 

@@ -9,13 +9,10 @@ silently unbounded work requests.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import CapacityError, ValidationError
-
-#: A permutation index.  Plain int; values stay below 34! < 2**128.
-PermIndex = int
 
 #: Largest n for which factorial(n) still fits in 128 bits.
 MAX_FACTORIAL_N = 34
@@ -26,7 +23,7 @@ for _i in range(1, MAX_FACTORIAL_N + 1):
 del _i
 
 
-def factorial(n: int) -> PermIndex:
+def factorial(n: int) -> int:
     """n! for 0 <= n <= 34.
 
     Larger arguments raise CapacityError: the result would no longer
@@ -66,7 +63,7 @@ def next_permutation(seq: list) -> bool:
     return True
 
 
-def unrank(index: PermIndex, items: Sequence) -> list:
+def unrank(index: int, items: Sequence) -> list:
     """The permutation at position ``index`` in the lexicographic order
     of all permutations of ``items`` (sorted ascending, no duplicates).
 
@@ -93,7 +90,7 @@ def unrank(index: PermIndex, items: Sequence) -> list:
     return out
 
 
-def rank(perm: Sequence) -> PermIndex:
+def rank(perm: Sequence) -> int:
     """Lexicographic index of ``perm`` among all permutations of its own
     label set; the inverse of :func:`unrank`.
     """
@@ -116,20 +113,20 @@ class WorkRange:
     one worker.  Empty ranges (start == end) are legal no-op
     assignments, which keeps sweeps over worker counts uniform."""
 
-    start: PermIndex
-    end: PermIndex
+    start: int
+    end: int
 
     def __post_init__(self):
         if self.start < 0 or self.end < self.start:
             raise ValidationError(f"invalid work range [{self.start}, {self.end})")
 
     @property
-    def count(self) -> PermIndex:
+    def count(self) -> int:
         """Number of permutations the owning worker evaluates."""
         return self.end - self.start
 
 
-def partition(total: PermIndex, workers: int) -> list[WorkRange]:
+def partition(total: int, workers: int) -> list[WorkRange]:
     """Split [0, total) into exactly ``workers`` contiguous ranges.
 
     With q, r = divmod(total, workers) the first r ranges get q+1

@@ -3,12 +3,14 @@
 One message per line, UTF-8, compact encoding.  Every message embeds
 the protocol version as ``"v"`` and receivers reject other versions.
 Permutation indices travel as decimal strings because they may exceed
-64 bits.
+64 bits.  Errors quote a received value through reprlib, which shortens
+it, so a hostile line cannot make a long error.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 
 from .core import SolveResult
@@ -79,20 +81,22 @@ def parse_message(line: str) -> dict:
     except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
         raise ProtocolError(f"malformed message line: {exc}") from None
     if not isinstance(msg, dict):
-        raise ProtocolError(f"message is not an object: {line.strip()!r}")
+        raise ProtocolError(f"message is not an object: {reprlib.repr(line.strip())}")
     version = msg.get("v")
     if version != PROTOCOL_VERSION:
-        raise ProtocolError(f"unsupported protocol version {version!r}")
+        raise ProtocolError(f"unsupported protocol version {reprlib.repr(version)}")
     mtype = msg.get("type")
     if mtype not in _MESSAGE_TYPES:
-        raise ProtocolError(f"unknown message type {mtype!r}")
+        raise ProtocolError(f"unknown message type {reprlib.repr(mtype)}")
     return msg
 
 
 def _require_int(msg: dict, key: str, minimum: int) -> int:
     value = msg.get(key)
     if type(value) is not int or value < minimum:
-        raise ProtocolError(f"field {key!r} must be an integer >= {minimum}, got {value!r}")
+        raise ProtocolError(
+            f"field {key!r} must be an integer >= {minimum}, got {reprlib.repr(value)}"
+        )
     return value
 
 
@@ -103,7 +107,7 @@ def _require_index(msg: dict, key: str) -> int:
             return int(value)
     except ValueError:  # more digits than int() converts
         pass
-    raise ProtocolError(f"field {key!r} must be a decimal string, got {value!r}")
+    raise ProtocolError(f"field {key!r} must be a decimal string, got {reprlib.repr(value)}")
 
 
 def decode_task(msg: dict) -> Task:
@@ -128,6 +132,6 @@ def decode_result(msg: dict) -> SolveResult:
     cost = _require_int(msg, "cost", 0)
     path = msg.get("path")
     if not isinstance(path, list) or any(type(c) is not int for c in path):
-        raise ProtocolError(f"field 'path' must be a list of integers, got {path!r}")
+        raise ProtocolError(f"field 'path' must be a list of integers, got {reprlib.repr(path)}")
     evaluated = _require_index(msg, "evaluated")
     return SolveResult(cost, tuple(path), evaluated)

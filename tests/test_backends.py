@@ -262,6 +262,32 @@ class TestWorkerInterpreterFailures:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: worker 0: ")
 
+    @pytest.mark.parametrize(
+        "reply,names",
+        [
+            ('{"v":1,"type":"result","cost":80,"path":[0,1,3,2,0],"evaluated":"%s"}' % ("9" * 5000),
+             "'evaluated'"),
+            ('{"v":1,"type":"result","cost":"%s","path":[0,1,3,2,0],"evaluated":"6"}'
+             % ("9" * 5000), "'cost'"),
+            ('{"v":1,"type":"result","cost":80,"path":[%s,"x"],"evaluated":"6"}'
+             % ",".join(["1"] * 5000), "'path'"),
+            ('{"v":"%s","type":"result"}' % ("9" * 5000), "version"),
+            ('{"v":1,"type":"%s"}' % ("x" * 5000), "message type"),
+            ("[%s]" % ",".join(["1"] * 5000), "not an object"),
+        ],
+        ids=["evaluated", "cost", "path", "version", "type", "not-an-object"],
+    )
+    def test_error_line_shortens_an_oversized_value(
+        self, tmp_path, monkeypatch, capsys, four_city_matrix, reply, names
+    ):
+        install_fake_worker(tmp_path, monkeypatch, f"sys.stdin.readline()\nprint({reply!r})\n")
+        instance = tmp_path / "m.txt"
+        instance.write_text(format_instance(four_city_matrix))
+        argv = ["solve", "--input", str(instance), "--backend", "message_passing", "--procs", "1"]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and len(err[0]) < 200 and names in err[0]
+
 
 def live_processes_running(path):
     """Pids of the live (not zombie) processes whose argv holds ``path``."""
@@ -305,6 +331,34 @@ def test_failed_hybrid_solve_leaves_no_team_member_running(tmp_path, monkeypatch
     for pid in survivors:
         os.kill(pid, signal.SIGKILL)
     assert not survivors, f"team members {survivors} outlived the failed solve"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc to find grandchildren")
+def test_killed_hybrid_worker_is_reported_at_once_and_its_team_killed(tmp_path, monkeypatch):
+    # The real worker, SIGKILLed 1 s into a scan whose two forked members
+    # would run for tens of seconds.  A member must hold no copy of the
+    # reply pipe, or the coordinator would wait for the team to finish.
+    install_fake_worker(tmp_path, monkeypatch, (
+        "import os, signal, threading, time\n"
+        "def die():\n"
+        "    time.sleep(1)\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        "threading.Thread(target=die, daemon=True).start()\n"
+        "from tspbench.worker import run_worker\n"
+        "sys.exit(run_worker())\n"
+    ))
+    t0 = time.monotonic()
+    with pytest.raises(ExecutionError, match=r"worker 0 exited without a result \(exit code -9\)"):
+        solve_hybrid(generate_instance(13, 0), 1, 2)
+    assert time.monotonic() - t0 < 4, "the kill at ~1 s was reported late"
+    deadline = time.monotonic() + 5  # SIGKILLed members take a moment to exit
+    while (survivors := live_processes_running(tmp_path / "fake_worker.py")) and (
+        time.monotonic() < deadline
+    ):
+        time.sleep(0.05)
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"team members {survivors} outlived the killed worker"
 
 
 class TestHybrid:

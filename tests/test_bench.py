@@ -453,6 +453,24 @@ def test_unusual_json_report_is_validation_error(tmp_path, capsys, text):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "change, names",
+    [
+        (lambda data: data["plan"].update(seed="9" * 5000), "'seed'"),
+        (lambda data: data.update(schema_version="9" * 5000), "schema"),
+    ],
+    ids=["seed", "schema-version"],
+)
+def test_error_line_shortens_an_oversized_value(tmp_path, capsys, change, names):
+    data = json.loads(GOLDEN_JSON)
+    change(data)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    assert cli_dispatch(["metrics", "--input", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0]) < 200 and names in err[0]
+
+
 def test_report_that_is_not_utf8_exits_1(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_bytes(b"\xff" + GOLDEN_JSON.encode())

@@ -281,6 +281,9 @@ class TestInstanceFiles:
             "2\n0,1\n1,5",  # nonzero diagonal
             "2\n0,a\n1,0",  # non-integer
             "1\n0",  # too small
+            "2\n0,1_0\n1_0,0",  # Python's digit separator
+            "2\n0,+1\n+1,0",  # a sign other than -
+            "2\n0,\u0661\n\u0661,0",  # a digit outside ASCII (Arabic-Indic one)
         ],
     )
     def test_rejects_malformed(self, text):
