@@ -5,7 +5,8 @@ ranges (hybrid_ranges) and runs each process's span on one of two
 process transports with one of two team transports:
 
 * process: on the caller, or in a worker interpreter that the package
-  starts by posix_spawn of itself.  A worker gets everything, the matrix
+  starts by posix_spawn of ``python -S -m tspbench --worker`` (see
+  worker.py).  A worker gets everything, the matrix
   included, over line-delimited JSON (see protocol.py), so the
   coordinator stays a pure master: it partitions, distributes, collects
   and reduces, but evaluates no permutations itself.
@@ -30,7 +31,7 @@ import os
 import signal
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .core import EMPTY_RESULT, CostMatrix, SolveResult, path_cost, reduce_results
@@ -48,28 +49,28 @@ KINDS = ("serial", "shared_memory", "message_passing", "hybrid")
 WORKER_BIN_ENV_VAR = "TSPBENCH_WORKER_BIN"
 
 
-@dataclass(frozen=True)
-class BackendSpec:
-    """One execution configuration.  ``parallel_elements`` is the p used
-    for speedup and efficiency accounting: threads for shared memory,
-    processes for message passing, and their product for hybrid."""
+class BackendSpec(namedtuple("BackendSpec", "kind threads processes")):
+    """One execution configuration, checked like CostMatrix.
+    ``parallel_elements`` is the p used for speedup and efficiency
+    accounting: threads for shared memory, processes for message
+    passing, and their product for hybrid."""
 
-    kind: str
-    threads: int | None = None
-    processes: int | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown backend kind {self.kind!r} (expected one of {KINDS})")
+    def __new__(cls, kind: str, threads: int | None = None, processes: int | None = None):
+        if kind not in KINDS:
+            raise ValidationError(f"unknown backend kind {kind!r} (expected one of {KINDS})")
         for name, value, wanted in (
-            ("threads", self.threads, self.kind in ("shared_memory", "hybrid")),
-            ("processes", self.processes, self.kind in ("message_passing", "hybrid")),
+            ("threads", threads, kind in ("shared_memory", "hybrid")),
+            ("processes", processes, kind in ("message_passing", "hybrid")),
         ):
             if wanted:
                 if type(value) is not int or value < 1:  # a bool is no count
-                    raise ValidationError(f"{self.kind} backend needs {name} >= 1, got {value!r}")
+                    raise ValidationError(f"{kind} backend needs {name} >= 1, got {value!r}")
             elif value is not None:
-                raise ValidationError(f"{self.kind} backend does not take {name}")
+                raise ValidationError(f"{kind} backend does not take {name}")
+        return super().__new__(cls, kind, threads, processes)
 
     @property
     def parallel_elements(self) -> int:
@@ -160,7 +161,10 @@ def _reply(idx: int, line: str, work: WorkRange, code: int, matrix: CostMatrix) 
     except (ProtocolError, ValidationError) as exc:
         raise ProtocolError(f"worker {idx}: {exc}") from None
     if msg["type"] == "error":
-        raise ExecutionError(f"worker {idx} failed: {msg.get('message', '')}")
+        text = str(msg.get("message", ""))
+        if len(text) > 200:  # a short message is quoted as it is, a long one cut
+            text = f"{text[:200]}... ({len(text)} characters)"
+        raise ExecutionError(f"worker {idx} failed: {text}")
     raise ProtocolError(f"worker {idx} sent an unexpected {msg['type']!r} message")
 
 
@@ -265,12 +269,12 @@ def worker_command() -> list[str]:
     override = os.environ.get(WORKER_BIN_ENV_VAR)
     if override:
         return [override, "--worker"]
-    return [sys.executable, "-m", "tspbench", "--worker"]
+    return [sys.executable, "-S", "-m", "tspbench", "--worker"]
 
 
 def _worker_env() -> dict:
-    # Make self-invocation work from a source checkout as well as an
-    # installed package.
+    # A worker runs under -S, without site-packages, so this is how it
+    # finds the package: checked out, installed or editable alike.
     env = dict(os.environ)
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     existing = env.get("PYTHONPATH")

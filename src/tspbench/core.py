@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import os
 import reprlib
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 from .errors import ExecutionError, ValidationError
 from .permutation import WorkRange, factorial
@@ -53,18 +53,17 @@ def check_city_count(n: int) -> None:
         raise ValidationError(f"city count must be in 2 .. {MAX_CITIES}, got {n}")
 
 
-@dataclass(frozen=True)
-class CostMatrix:
+class CostMatrix(namedtuple("CostMatrix", "costs")):
     """Square grid of non-negative integer trip costs with a zero
-    diagonal.  Asymmetric instances are legal: costs[i][j] need not
-    equal costs[j][i].  Instances are immutable after construction and
-    safe to share read-only across any number of workers."""
+    diagonal; costs[i][j] need not equal costs[j][i].  A named tuple
+    checked whenever one is built, unpickled or copied, and safe to
+    share read-only across any number of workers."""
 
-    costs: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.costs)
-        object.__setattr__(self, "costs", rows)
+    def __new__(cls, costs: Iterable[Iterable[int]]):
+        rows = tuple(tuple(row) for row in costs)
         n = len(rows)
         check_city_count(n)
         for i, row in enumerate(rows):
@@ -83,35 +82,35 @@ class CostMatrix:
                     )
             if row[i] != 0:
                 raise ValidationError(f"diagonal entry [{i}][{i}] must be 0, got {row[i]}")
+        return super().__new__(cls, rows)
 
     @property
     def n(self) -> int:
         return len(self.costs)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(namedtuple("SolveResult", "optimal_cost optimal_path evaluated")):
     """Optimal cost and closed tour, plus how many permutations were
     examined to find them.  The empty sentinel (infinite cost, empty
     path, zero evaluated) stands for "no permutations scanned" and is
-    the identity of result reduction."""
+    the identity of result reduction.  Checked like CostMatrix."""
 
-    optimal_cost: int
-    optimal_path: tuple[int, ...]
-    evaluated: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        object.__setattr__(self, "optimal_path", tuple(self.optimal_path))
-        if self.optimal_cost < 0:
-            raise ValidationError(f"negative tour cost {self.optimal_cost}")
-        if self.evaluated < 0:
-            raise ValidationError(f"negative evaluation count {self.evaluated}")
-        if self.optimal_path:
-            if self.optimal_path[0] != 0 or self.optimal_path[-1] != 0:
+    def __new__(cls, optimal_cost: int, optimal_path: Iterable[int], evaluated: int):
+        optimal_path = tuple(optimal_path)
+        if optimal_cost < 0:
+            raise ValidationError(f"negative tour cost {optimal_cost}")
+        if evaluated < 0:
+            raise ValidationError(f"negative evaluation count {evaluated}")
+        if optimal_path:
+            if optimal_path[0] != 0 or optimal_path[-1] != 0:
                 raise ValidationError("tour must start and end at city 0")
-            inner = self.optimal_path[1:-1]
+            inner = optimal_path[1:-1]
             if len(set(inner)) != len(inner) or 0 in inner:
                 raise ValidationError("tour must visit each remaining city exactly once")
+        return super().__new__(cls, optimal_cost, optimal_path, evaluated)
 
 
 #: Reduction identity: the result of scanning nothing.

@@ -9,8 +9,8 @@ silently unbounded work requests.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .errors import CapacityError, ValidationError
 
@@ -107,18 +107,19 @@ def rank(perm: Sequence) -> int:
     return index
 
 
-@dataclass(frozen=True)
-class WorkRange:
+class WorkRange(namedtuple("WorkRange", "start end")):
     """Half-open interval [start, end) of permutation indices owned by
     one worker.  Empty ranges (start == end) are legal no-op
-    assignments, which keeps sweeps over worker counts uniform."""
+    assignments, which keeps sweeps over worker counts uniform.  A named
+    tuple checked whenever one is built, unpickled or copied."""
 
-    start: int
-    end: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        if self.start < 0 or self.end < self.start:
-            raise ValidationError(f"invalid work range [{self.start}, {self.end})")
+    def __new__(cls, start: int, end: int):
+        if start < 0 or end < start:
+            raise ValidationError(f"invalid work range [{start}, {end})")
+        return super().__new__(cls, start, end)
 
     @property
     def count(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import SolveResult
 from .errors import ProtocolError
@@ -23,16 +23,9 @@ PROTOCOL_VERSION = 1
 _MESSAGE_TYPES = ("task", "result", "error", "shutdown")
 
 
-@dataclass(frozen=True)
-class Task:
-    """A decoded task message: the full instance plus the assigned
-    index range and the size of the worker's local team."""
-
-    n: int
-    matrix: tuple[tuple[int, ...], ...]
-    start: int
-    end: int
-    threads: int
+#: A decoded task message: the full instance plus the assigned index
+#: range and the size of the worker's local team.
+Task = namedtuple("Task", "n matrix start end threads")
 
 
 def _encode(payload: dict) -> str:

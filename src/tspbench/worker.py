@@ -1,11 +1,14 @@
 """Worker-mode entry point: speak the wire protocol on stdin/stdout.
 
-The coordinator spawns this as a child process (self-invocation with
-the hidden --worker flag).  Tasks arrive one per line and each produces
-exactly one result line.  A shutdown message ends the process with exit
-code 0.  Any protocol violation or task failure emits an error message
-and exits nonzero; the coordinator is fail-fast and discards partial
-results, so there is no point in limping on.
+The coordinator spawns this as ``python -S -m tspbench --worker``, which
+runs no ``site``, ``.pth`` file or ``sitecustomize`` and finds the
+package through the PYTHONPATH that backends._worker_env sets.  No
+module on this path uses dataclasses or typing.  Tasks arrive one per
+line and each produces exactly one result line.  A shutdown message
+ends the process with exit code 0.  Any protocol violation or task
+failure emits an error message and exits nonzero; the coordinator is
+fail-fast and discards partial results, so there is no point in
+limping on.
 """
 
 from __future__ import annotations

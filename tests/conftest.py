@@ -1,9 +1,12 @@
+import copy
 import itertools
 import os
+import pickle
 
 import pytest
 
 from tspbench.core import CostMatrix
+from tspbench.errors import ValidationError
 
 # 4-city example with hand-checkable leg sums; two tours cost 80
 # ((1,3,2) and (2,3,1)) so it also exercises the tie-break.
@@ -55,3 +58,25 @@ def brute_force_best(rows):
 
 def all_ones(n: int) -> CostMatrix:
     return CostMatrix(tuple(tuple(0 if i == j else 1 for j in range(n)) for i in range(n)))
+
+
+def check_record(record, kwargs, text, bad):
+    """The behaviour every checked record keeps: ``record``, built from
+    positional arguments, equals the record built from ``kwargs``,
+    reads back as ``text``, hashes alike, refuses assignment and
+    survives copy and pickle.  The checks run again on a pickle whose
+    one 4242 is tampered to -1, and on ``_replace(**bad)``."""
+    cls = type(record)
+    assert cls(**kwargs) == record and type(cls(**kwargs)) is cls
+    assert repr(record) == text
+    assert hash(cls(**kwargs)) == hash(record)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    for clone in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert clone == record and type(clone) is cls
+    payload = pickle.dumps(record)
+    assert payload.count(b"M\x92\x10") == 1  # 4242 as BININT2
+    with pytest.raises(ValidationError):
+        pickle.loads(payload.replace(b"M\x92\x10", b"J\xff\xff\xff\xff"))  # -1 as BININT
+    with pytest.raises(ValidationError):
+        record._replace(**bad)

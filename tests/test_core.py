@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FOUR_CITY_ROWS, all_ones, brute_force_best, tour_cost
+from conftest import FOUR_CITY_ROWS, all_ones, brute_force_best, check_record, tour_cost
+from tspbench.backends import KINDS, BackendSpec
 from tspbench.core import (
     EMPTY_RESULT,
     INFINITE_COST,
@@ -66,6 +67,64 @@ class TestCostMatrix:
     def test_asymmetric_is_legal(self):
         m = CostMatrix(((0, 5), (9, 0)))
         assert m.costs[0][1] != m.costs[1][0]
+
+
+class TestRecords:
+    """The checked records on the solve path: each check's error text,
+    and the behaviour every such record keeps (conftest.check_record)."""
+
+    @pytest.mark.parametrize(
+        "build,text",
+        [
+            (lambda: CostMatrix(((0,),)), "city count must be in 2 .. 34, got 1"),
+            (lambda: CostMatrix(((0, 1), (1, 0), (1, 1))),
+             "row 0 has 2 entries, expected 3 (matrix must be square)"),
+            (lambda: CostMatrix(((0, 1.5), (1, 0))), "cost[0][1] is not an integer: 1.5"),
+            (lambda: CostMatrix(((0, 1), (True, 0))), "cost[1][0] is not an integer: True"),
+            (lambda: CostMatrix(((0, -1), (1, 0))), "cost[0][1] is negative: -1"),
+            (lambda: CostMatrix(((0, 10**9 + 1), (1, 0))),
+             "cost[0][1] = 1000000001 exceeds the maximum 1000000000"),
+            (lambda: CostMatrix(((1, 2), (2, 0))), "diagonal entry [0][0] must be 0, got 1"),
+            (lambda: SolveResult(-1, (), 0), "negative tour cost -1"),
+            (lambda: SolveResult(0, (), -1), "negative evaluation count -1"),
+            (lambda: SolveResult(0, (1, 0), 1), "tour must start and end at city 0"),
+            (lambda: SolveResult(0, (0, 1, 1, 0), 2),
+             "tour must visit each remaining city exactly once"),
+            (lambda: SolveResult(0, (0, 0, 0), 1), "tour must visit each remaining city exactly once"),
+            (lambda: BackendSpec("gpu"), f"unknown backend kind 'gpu' (expected one of {KINDS})"),
+            (lambda: BackendSpec("shared_memory"), "shared_memory backend needs threads >= 1, got None"),
+            (lambda: BackendSpec("hybrid", True, 2), "hybrid backend needs threads >= 1, got True"),
+            (lambda: BackendSpec("message_passing", processes=0),
+             "message_passing backend needs processes >= 1, got 0"),
+            (lambda: BackendSpec("serial", 2), "serial backend does not take threads"),
+            (lambda: BackendSpec("shared_memory", 2, 2), "shared_memory backend does not take processes"),
+        ],
+    )
+    def test_error_text(self, build, text):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == text
+
+    @pytest.mark.parametrize(
+        "record,kwargs,text,bad",
+        [
+            (CostMatrix(((0, 4242), (7, 0))), {"costs": ((0, 4242), (7, 0))},
+             "CostMatrix(costs=((0, 4242), (7, 0)))", {"costs": ((0, 1),)}),
+            (SolveResult(4242, (0, 1, 2, 0), 2),
+             {"optimal_cost": 4242, "optimal_path": (0, 1, 2, 0), "evaluated": 2},
+             "SolveResult(optimal_cost=4242, optimal_path=(0, 1, 2, 0), evaluated=2)",
+             {"evaluated": -1}),
+            (BackendSpec("message_passing", None, 4242), {"kind": "message_passing", "processes": 4242},
+             "BackendSpec(kind='message_passing', threads=None, processes=4242)", {"threads": 2}),
+        ],
+        ids=["CostMatrix", "SolveResult", "BackendSpec"],
+    )
+    def test_record_behaviour(self, record, kwargs, text, bad):
+        check_record(record, kwargs, text, bad)
+
+    def test_fields_become_tuples(self):
+        assert CostMatrix([[0, 1], [1, 0]]).costs == ((0, 1), (1, 0))
+        assert SolveResult(3, [0, 1, 0], 1).optimal_path == (0, 1, 0)
 
 
 class TestPathCost:

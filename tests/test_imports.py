@@ -45,3 +45,28 @@ def test_import_leaves_module_out(statement, module):
 def test_library_leaves_typing_out():
     # under -S, because site itself may import typing (a .pth file can)
     assert not loaded_after("import tspbench.bench, tspbench.cli, tspbench.worker", "typing", "-S")
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect", "typing"])
+def test_worker_path_leaves_module_out_under_no_site(module):
+    # the modules a worker interpreter, started with -S, imports
+    assert not loaded_after("import tspbench.worker, tspbench.backends", module, "-S")
+
+
+def test_spawned_worker_finds_the_package_through_its_env_alone(tmp_path):
+    # The worker runs under -S from a cwd without the package, so only
+    # the PYTHONPATH that _worker_env sets can lead it there.
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "TSPBENCH_WORKER_BIN")}
+    code = (
+        f"import sys\nsys.path.insert(0, {SRC_DIR!r})\n"
+        "from tspbench.backends import parse_backend_spec, solve, worker_command\n"
+        "from tspbench.core import solve_serial\n"
+        "from tspbench.instances import generate_instance\n"
+        "m = generate_instance(7, 0, symmetric=False)\n"
+        "print(worker_command()[1:], solve(m, parse_backend_spec('procs:2')) == solve_serial(m))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert out.stdout.split("\n") == ["['-S', '-m', 'tspbench', '--worker'] True", ""]

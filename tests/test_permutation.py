@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import check_record
 from tspbench.errors import CapacityError, ValidationError
 from tspbench.permutation import (
     MAX_FACTORIAL_N,
@@ -153,6 +154,18 @@ class TestWorkRange:
             WorkRange(5, 3)
         with pytest.raises(ValidationError):
             WorkRange(-1, 2)
+
+    @pytest.mark.parametrize("start,end", [(5, 3), (-1, 2), (-2, -3)])
+    def test_error_text(self, start, end):
+        with pytest.raises(ValidationError, match=rf"^invalid work range \[{start}, {end}\)$"):
+            WorkRange(start, end)
+
+    def test_record_behaviour(self):
+        assert repr(WorkRange(0, 3)) == "WorkRange(start=0, end=3)"
+        check_record(
+            WorkRange(4242, 5000), {"start": 4242, "end": 5000},
+            "WorkRange(start=4242, end=5000)", {"end": 4241},
+        )
 
 
 def _check_partition(total, workers, ranges):
