@@ -5,11 +5,12 @@ ranges (hybrid_ranges) and runs each process's span on one of two
 process transports with one of two team transports:
 
 * process: on the caller, or in a worker interpreter that the package
-  starts by posix_spawn of ``python -S -m tspbench --worker`` (see
-  worker.py).  A worker gets everything, the matrix
-  included, over line-delimited JSON (see protocol.py), so the
-  coordinator stays a pure master: it partitions, distributes, collects
-  and reduces, but evaluates no permutations itself.
+  starts by posix_spawn of ``python -S -c "from tspbench.worker import
+  main; main()"`` (see worker_command and worker.py).  A worker gets
+  everything, the matrix included, over line-delimited JSON (see
+  protocol.py), so the coordinator stays a pure master: it partitions,
+  distributes, collects and reduces, but evaluates no permutations
+  itself.
 * team: inline for a team of one, else forked members that inherit the
   matrix copy-on-write.  CPython's interpreter lock keeps OS threads
   from running the scan in parallel, so a fork team is the working
@@ -43,9 +44,9 @@ from .protocol import shutdown_message, task_message
 
 KINDS = ("serial", "shared_memory", "message_passing", "hybrid")
 
-#: Set this to an executable path to replace the default self-invocation
-#: of the worker process (a testing hook; the replacement is called with
-#: a single --worker argument and must speak the wire protocol).
+#: Set this to an executable path to replace the default worker
+#: interpreter (a testing hook; the replacement is called with a single
+#: --worker argument and must speak the wire protocol).
 WORKER_BIN_ENV_VAR = "TSPBENCH_WORKER_BIN"
 
 
@@ -161,7 +162,7 @@ def _reply(idx: int, line: str, work: WorkRange, code: int, matrix: CostMatrix) 
     except (ProtocolError, ValidationError) as exc:
         raise ProtocolError(f"worker {idx}: {exc}") from None
     if msg["type"] == "error":
-        text = str(msg.get("message", ""))
+        text = " ".join(str(msg.get("message", "")).splitlines())  # one error line
         if len(text) > 200:  # a short message is quoted as it is, a long one cut
             text = f"{text[:200]}... ({len(text)} characters)"
         raise ExecutionError(f"worker {idx} failed: {text}")
@@ -269,7 +270,9 @@ def worker_command() -> list[str]:
     override = os.environ.get(WORKER_BIN_ENV_VAR)
     if override:
         return [override, "--worker"]
-    return [sys.executable, "-S", "-m", "tspbench", "--worker"]
+    # -S skips site and -c skips runpy and the CLI: the worker imports
+    # only what it runs (see worker.py)
+    return [sys.executable, "-S", "-c", "from tspbench.worker import main; main()"]
 
 
 def _worker_env() -> dict:

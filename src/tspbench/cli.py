@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen, solve, bench, metrics.  A lone hidden --worker
-argument enters message-passing worker mode (used by coordinator
-self-invocation and never shown in help).  Exit codes: 0 success, 1 validation error,
-2 execution or correctness error.  Diagnostics go to stderr; data goes
+argument runs the message-passing worker loop that spawned workers run
+(worker.run_worker), and is never shown in help.  Exit codes: 0
+success, 1 validation error, 2 execution or correctness error.  Diagnostics go to stderr; data goes
 to files or stdout.
 """
 

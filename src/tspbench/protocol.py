@@ -5,11 +5,17 @@ the protocol version as ``"v"`` and receivers reject other versions.
 Permutation indices travel as decimal strings because they may exceed
 64 bits.  Errors quote a received value through reprlib, which shortens
 it, so a hostile line cannot make a long error.
+
+Both ends encode and decode with CPython's ``_json``, the C accelerator
+that the ``json`` package loads, configured exactly as ``json.dumps(...,
+separators=(",", ":"))`` and ``json.loads`` configure it.  The bytes and
+the accepted lines are json's own, but a worker skips importing ``json``
+and the ``re`` and ``enum`` it pulls in.
 """
 
 from __future__ import annotations
 
-import json
+import _json
 import reprlib
 from collections import namedtuple
 
@@ -28,8 +34,61 @@ _MESSAGE_TYPES = ("task", "result", "error", "shutdown")
 Task = namedtuple("Task", "n matrix start end threads")
 
 
+#: What json.loads skips around a value; any other trailing text is an error.
+_WHITESPACE = " \t\n\r"
+
+
+class _DecoderConfig:
+    """The settings json.JSONDecoder() hands to the scanner."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+    parse_constant = {
+        "-Infinity": float("-inf"), "Infinity": float("inf"), "NaN": float("nan")
+    }.__getitem__
+
+
+_scan_once = _json.make_scanner(_DecoderConfig)
+
+
+def _unserializable(value):
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def _encode(payload: dict) -> str:
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    # json.dumps(payload, separators=(",", ":")): a fresh circular-reference
+    # memo, ASCII-only strings, NaN and the infinities allowed
+    encode = _json.make_encoder({}, _unserializable, _json.encode_basestring_ascii, None,
+                                ":", ",", False, False, True)
+    return "".join(encode(payload, 0)) + "\n"
+
+
+def _where(msg: str, line: str, pos: int) -> str:
+    """``msg`` placed as json.JSONDecodeError places it."""
+    lineno = line.count("\n", 0, pos) + 1
+    colno = pos - line.rfind("\n", 0, pos)
+    return f"{msg}: line {lineno} column {colno} (char {pos})"
+
+
+def _loads(line: str):
+    """json.loads(line): one value, with only whitespace around it."""
+    start = len(line) - len(line.lstrip(_WHITESPACE))
+    try:
+        value, end = _scan_once(line, start)
+    except StopIteration as exc:
+        raise ValueError(_where("Expecting value", line, exc.value)) from None
+    except SystemError:
+        # The scanner raises a syntax error as json.decoder's
+        # JSONDecodeError; CPython 3.11 looks that class up among the
+        # imported modules only, and without it raises SystemError.  A bad
+        # line pays for the import, and the scan again raises the error.
+        import json.decoder  # noqa: F401
+
+        value, end = _scan_once(line, start)
+    if line[end:].lstrip(_WHITESPACE):
+        raise ValueError(_where("Extra data", line, end))
+    return value
 
 
 def task_message(matrix_rows, work: WorkRange, threads: int) -> str:
@@ -70,7 +129,7 @@ def parse_message(line: str) -> dict:
     """Parse one protocol line into a dict, enforcing the envelope:
     a JSON object with a supported version and a known type."""
     try:
-        msg = json.loads(line)
+        msg = _loads(line)
     except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
         raise ProtocolError(f"malformed message line: {exc}") from None
     if not isinstance(msg, dict):

@@ -1,18 +1,23 @@
 """Worker-mode entry point: speak the wire protocol on stdin/stdout.
 
-The coordinator spawns this as ``python -S -m tspbench --worker``, which
-runs no ``site``, ``.pth`` file or ``sitecustomize`` and finds the
-package through the PYTHONPATH that backends._worker_env sets.  No
-module on this path uses dataclasses or typing.  Tasks arrive one per
-line and each produces exactly one result line.  A shutdown message
-ends the process with exit code 0.  Any protocol violation or task
-failure emits an error message and exits nonzero; the coordinator is
-fail-fast and discards partial results, so there is no point in
-limping on.
+The coordinator spawns this as ``python -S -c "from tspbench.worker
+import main; main()"``, which runs no ``site``, ``.pth`` file,
+``sitecustomize``, ``runpy`` or CLI, and finds the package through the
+PYTHONPATH that backends._worker_env sets.  The modules it imports are
+the kernel's (core, permutation, errors) and the protocol's; none uses
+dataclasses, typing, json, re or enum.  ``tspbench --worker`` runs the
+same loop in an ordinary process.
+
+Tasks arrive one per line and each produces exactly one result line.
+A shutdown message ends the process with exit code 0.  Any protocol
+violation or task failure emits an error message and exits nonzero; the
+coordinator is fail-fast and discards partial results, so there is no
+point in limping on.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
 from .core import CostMatrix, solve_range
@@ -53,3 +58,12 @@ def run_worker(stdin=None, stdout=None) -> int:
             out.write(error_message(f"{type(exc).__name__}: {exc}"))
             out.flush()
             return 1
+
+
+def main() -> None:
+    """Serve a worker interpreter, then leave by os._exit: the reply is
+    flushed, and the interpreter's teardown would only delay the exit
+    that the coordinator reaps."""
+    code = run_worker()
+    sys.stdout.flush()
+    os._exit(code)

@@ -300,6 +300,18 @@ class TestWorkerInterpreterFailures:
         assert len(err) == 1 and len(err[0]) < 300
         assert err[0].startswith(f"error: worker 0 failed: {str(message)[:200]}... (")
 
+    def test_multi_line_worker_error_is_one_error_line(
+        self, tmp_path, monkeypatch, capsys, four_city_matrix
+    ):
+        error = {"v": 1, "type": "error", "message": "first\nerror: second\r\nthird"}
+        install_fake_worker(tmp_path, monkeypatch, f"sys.stdin.readline()\nprint(json.dumps({error!r}))\n")
+        instance = tmp_path / "m.txt"
+        instance.write_text(format_instance(four_city_matrix))
+        argv = ["solve", "--input", str(instance), "--backend", "message_passing", "--procs", "1"]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: worker 0 failed: first error: second third"]
+
 
 def live_processes_running(path):
     """Pids of the live (not zombie) processes whose argv holds ``path``."""

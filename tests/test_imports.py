@@ -69,4 +69,37 @@ def test_spawned_worker_finds_the_package_through_its_env_alone(tmp_path):
         [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.split("\n") == ["['-S', '-m', 'tspbench', '--worker'] True", ""]
+    assert out.stdout.split("\n") == [
+        "['-S', '-c', 'from tspbench.worker import main; main()'] True", ""
+    ]
+
+
+@pytest.mark.parametrize("module", ["json", "re", "enum", "runpy", "tspbench.cli"])
+def test_worker_leaves_module_out_under_no_site(module):
+    # the worker is entered directly, and its codec is json's C accelerator
+    assert not loaded_after("import tspbench.worker", module, "-S")
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("not json\n", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"v":1,\n', "Expecting property name enclosed in double quotes"),
+    ],
+    ids=["not-json", "broken-object"],
+)
+def test_worker_answers_a_malformed_line_with_one_error_and_exit_1(monkeypatch, line, reason):
+    # the real worker command: its one error line is flushed before os._exit
+    monkeypatch.delenv("TSPBENCH_WORKER_BIN", raising=False)
+    from tspbench.backends import worker_command
+    from tspbench.protocol import parse_message
+
+    out = subprocess.run(
+        worker_command(), input=line, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (out.returncode, out.stderr) == (1, "")
+    (reply,) = out.stdout.splitlines()
+    message = parse_message(reply)
+    assert message["type"] == "error"
+    assert message["message"].startswith(f"ProtocolError: malformed message line: {reason}")

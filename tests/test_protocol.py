@@ -1,12 +1,16 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tspbench.core import SolveResult
 from tspbench.errors import ProtocolError
 from tspbench.permutation import WorkRange
 from tspbench.protocol import (
     PROTOCOL_VERSION,
+    _encode,
+    _loads,
     decode_result,
     decode_task,
     error_message,
@@ -159,3 +163,111 @@ def test_oversized_index_is_protocol_error(line, key):
     decode = decode_result if msg["type"] == "result" else decode_task
     with pytest.raises(ProtocolError, match=f"field '{key}'"):
         decode(msg)
+
+
+# --- the codec is json's own -------------------------------------------------
+
+#: Any text: non-ASCII, control characters and lone surrogates included.
+ANY_TEXT = st.text(st.characters(exclude_categories=()))
+
+
+def as_json_dumps(payload) -> str:
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+@settings(max_examples=200)
+@given(
+    rows=st.lists(st.lists(st.integers(0, 10**9), min_size=2, max_size=5), min_size=2, max_size=5),
+    start=st.integers(0, 2**80),
+    count=st.integers(0, 2**80),
+    threads=st.integers(1, 64),
+    cost=st.integers(0, 34 * 10**9),
+    text=ANY_TEXT,
+)
+def test_encoding_is_json_dumps_for_every_message_kind(rows, start, count, threads, cost, text):
+    task = task_message(rows, WorkRange(start, start + count), threads)
+    result = result_message(SolveResult(cost, tuple(range(len(rows))) + (0,), count))
+    error = error_message(text)
+    assert task == as_json_dumps({
+        "v": 1, "type": "task", "n": len(rows), "matrix": rows,
+        "start": str(start), "end": str(start + count), "threads": threads,
+    })
+    assert result == as_json_dumps({
+        "v": 1, "type": "result", "cost": cost, "path": [*range(len(rows)), 0],
+        "evaluated": str(count),
+    })
+    assert error == as_json_dumps({"v": 1, "type": "error", "message": text})
+    assert shutdown_message() == as_json_dumps({"v": 1, "type": "shutdown"})
+    assert parse_message(error)["message"] == text
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ANY_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(ANY_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200)
+@given(JSON_VALUES)
+@example({"x": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300], "\ud800": "\x00é"})
+def test_any_json_value_encodes_as_json_dumps(value):
+    assert _encode(value) == as_json_dumps(value)
+
+
+def test_unserializable_value_is_json_dumps_type_error():
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        _encode({"x": {1}})
+
+
+def assert_decodes_as_json_loads(line: str) -> None:
+    """Either both decoders give the same value (same repr, so 1, 1.0,
+    True and NaN stay apart), or both reject the line and parse_message
+    rejects it as a malformed line."""
+    try:
+        expected = repr(json.loads(line))
+    except (ValueError, RecursionError):
+        with pytest.raises((ValueError, RecursionError)):
+            _loads(line)
+        with pytest.raises(ProtocolError, match="^malformed message line: "):
+            parse_message(line)
+        return
+    assert repr(_loads(line)) == expected
+
+
+VALID_LINE = '{"v":1,"type":"result","cost":7,"path":[0,1,2,0],"evaluated":"2"}'
+
+HOSTILE_LINES = [
+    "", " ", " \t\r\n", "\n", "\x0c", "\u00a0{}", "\x00",
+    "\ufeff", "\ufeff{}", "\ufeff" + VALID_LINE,
+    "[" * 100_000, "{" * 100_000, '{"a":' * 100_000,
+    "9" * 5000, '{"v":1,"type":"result","cost":%s}' % ("9" * 5000), "1e400", "-0", "01", "1.",
+    "NaN", "-Infinity", "Infinity", "-NaN", "nan", '{"v":1,"type":"result","cost":NaN}',
+    "{} {}", "{}x", "{}\n\n", "{}\x0c", " {} \t", VALID_LINE + VALID_LINE, VALID_LINE + "\n",
+    '"\x01"', '"\\u0000"', '"\\ud800"', '"\\ud800\\udc00"', '"\\x"', '"\ud800"',
+    '{"a":1,"a":2}', "[1,]", '{"a":1,}', '{"a"}', '{"a" 1}', "tru", "true", "null", '{ "v" : 1 }',
+    VALID_LINE[:-1], VALID_LINE[:20],
+]
+
+
+@pytest.mark.parametrize("line", HOSTILE_LINES, ids=range(len(HOSTILE_LINES)))
+def test_hostile_line_decodes_as_json_loads(line):
+    assert_decodes_as_json_loads(line)
+
+
+#: Text near JSON: its structural characters, digits, keywords and escapes.
+NEAR_JSON = st.lists(st.sampled_from(list(' \t\n\r{}[]":,0123456789.eE+-\\/u') + [
+    "true", "false", "null", "NaN", "Infinity", "\\ud800", "\ufeff", "\x00", "\u00e9",
+])).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    ANY_TEXT,
+    NEAR_JSON,
+    st.tuples(JSON_VALUES.map(json.dumps), st.integers(0, 100), NEAR_JSON).map(
+        lambda t: t[0][: t[1]] + t[2]  # a valid line cut short or followed by more
+    ),
+))
+def test_any_line_decodes_as_json_loads(line):
+    assert_decodes_as_json_loads(line)
