@@ -3,8 +3,8 @@
 Subcommands: gen, solve, bench, metrics.  A lone hidden --worker
 argument runs the message-passing worker loop that spawned workers run
 (worker.run_worker), and is never shown in help.  Exit codes: 0
-success, 1 validation error, 2 execution or correctness error.  Diagnostics go to stderr; data goes
-to files or stdout.
+success, 1 validation error, 2 execution or correctness error.
+Diagnostics go to stderr; data goes to files or stdout.
 """
 
 from __future__ import annotations

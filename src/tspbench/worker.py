@@ -4,9 +4,11 @@ The coordinator spawns this as ``python -S -c "from tspbench.worker
 import main; main()"``, which runs no ``site``, ``.pth`` file,
 ``sitecustomize``, ``runpy`` or CLI, and finds the package through the
 PYTHONPATH that backends._worker_env sets.  The modules it imports are
-the kernel's (core, permutation, errors) and the protocol's; none uses
-dataclasses, typing, json, re or enum.  ``tspbench --worker`` runs the
-same loop in an ordinary process.
+the kernel's (core, permutation, errors), the protocol's and, for a
+hybrid worker's fork team, backends.  None imports dataclasses or
+typing, none imports json or re unless a malformed line needs
+json.decoder to name its error, and only backends loads enum.
+``tspbench --worker`` runs the same loop in an ordinary process.
 
 Tasks arrive one per line and each produces exactly one result line.
 A shutdown message ends the process with exit code 0.  Any protocol

@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+from tspbench.backends import worker_command
+from tspbench.protocol import parse_message
+
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -91,9 +94,6 @@ def test_worker_leaves_module_out_under_no_site(module):
 def test_worker_answers_a_malformed_line_with_one_error_and_exit_1(monkeypatch, line, reason):
     # the real worker command: its one error line is flushed before os._exit
     monkeypatch.delenv("TSPBENCH_WORKER_BIN", raising=False)
-    from tspbench.backends import worker_command
-    from tspbench.protocol import parse_message
-
     out = subprocess.run(
         worker_command(), input=line, env=dict(os.environ, PYTHONPATH=SRC_DIR),
         capture_output=True, text=True, timeout=60,
