@@ -1,6 +1,4 @@
-import sys
-
-from .cli import cli_dispatch
+from .cli import main
 
 if __name__ == "__main__":
-    sys.exit(cli_dispatch())
+    main()

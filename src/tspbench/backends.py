@@ -29,11 +29,10 @@ so the combination order never matters.
 from __future__ import annotations
 
 import os
-import signal
 import sys
 import time
+from _signal import SIGKILL, SIGPIPE  # signal's enum wrappers cost a hybrid worker's start
 from collections import namedtuple
-from functools import partial
 
 from .core import EMPTY_RESULT, CostMatrix, SolveResult, path_cost, reduce_results
 from .core import solve_range, solve_serial
@@ -45,8 +44,8 @@ from .protocol import shutdown_message, task_message
 KINDS = ("serial", "shared_memory", "message_passing", "hybrid")
 
 #: Set this to an executable path to replace the default worker
-#: interpreter (a testing hook; the replacement is called with a single
-#: --worker argument and must speak the wire protocol).
+#: interpreter (a testing hook; the replacement is run with no argument
+#: and must speak the wire protocol).
 WORKER_BIN_ENV_VAR = "TSPBENCH_WORKER_BIN"
 
 
@@ -118,7 +117,8 @@ def solve(matrix: CostMatrix, spec: BackendSpec) -> SolveResult:
     spans = [WorkRange(group[0].start, group[-1].end) for group in groups]
     if spec.kind == "shared_memory":
         return solve_interval_team(matrix, spans[0], threads)
-    workers = _run_workers(matrix, spans, partial(_spawn_worker, matrix, threads), groups=True)
+    workers = _run_workers(matrix, spans, lambda w, fd: _spawn_worker(matrix, threads, w, fd),
+                           groups=True)
     return reduce_results(workers)
 
 
@@ -237,7 +237,7 @@ def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, groups=False
                 # the exit code real: the reaped pid stays the team's group
                 # id while a member lives, so the signal reaches no stranger.
                 try:
-                    os.killpg(pid, signal.SIGKILL)
+                    os.killpg(pid, SIGKILL)
                 except ProcessLookupError:
                     pass
             results.append(_reply(idx, line, work, code, matrix))
@@ -248,7 +248,7 @@ def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, groups=False
         for idx, (pid, fd) in enumerate(workers):
             os.close(fd)
             if idx >= reaped:  # not reaped, so the pid is still ours to kill
-                (os.killpg if groups else os.kill)(pid, signal.SIGKILL)
+                (os.killpg if groups else os.kill)(pid, SIGKILL)
                 os.waitpid(pid, 0)
 
 
@@ -269,7 +269,7 @@ def solve_interval_team(matrix: CostMatrix, work: WorkRange, threads: int) -> So
 def worker_command() -> list[str]:
     override = os.environ.get(WORKER_BIN_ENV_VAR)
     if override:
-        return [override, "--worker"]
+        return [override]
     # -S skips site and -c skips runpy and the CLI: the worker imports
     # only what it runs (see worker.py)
     return [sys.executable, "-S", "-c", "from tspbench.worker import main; main()"]
@@ -296,7 +296,7 @@ def _spawn_worker(matrix: CostMatrix, threads: int, work: WorkRange, fd: int) ->
         with open(task_out, "w", encoding="utf-8") as pipe:
             try:
                 pid = os.posix_spawnp(cmd[0], cmd, _worker_env(), file_actions=stdio,
-                                      setpgroup=0, setsigdef=(signal.SIGPIPE,))
+                                      setpgroup=0, setsigdef=(SIGPIPE,))
             finally:
                 os.close(task_in)
             pipe.write(task_message(matrix.costs, work, threads) + shutdown_message())

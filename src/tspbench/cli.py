@@ -1,9 +1,7 @@
 """Command-line interface.
 
-Subcommands: gen, solve, bench, metrics.  A lone hidden --worker
-argument runs the message-passing worker loop that spawned workers run
-(worker.run_worker), and is never shown in help.  Exit codes: 0
-success, 1 validation error, 2 execution or correctness error.
+Subcommands: gen, solve, bench, metrics.  Exit codes: 0 success, 1
+validation error, 2 execution or correctness error.
 Diagnostics go to stderr; data goes to files or stdout.
 """
 
@@ -174,11 +172,6 @@ def _build_parser():
 
 
 def cli_dispatch(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv == ["--worker"]:
-        from .worker import run_worker
-
-        return run_worker()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -8,9 +8,10 @@ it, so a hostile line cannot make a long error.
 
 Both ends encode and decode with CPython's ``_json``, the C accelerator
 that the ``json`` package loads, configured exactly as ``json.dumps(...,
-separators=(",", ":"))`` and ``json.loads`` configure it.  The bytes and
-the accepted lines are json's own, but a worker skips importing ``json``
-and the ``re`` and ``enum`` it pulls in.
+separators=(",", ":"))`` and ``json.loads`` configure it, and a rejected
+line goes to ``json.loads`` itself.  So the bytes, the accepted lines and
+the error texts are json's own, but a worker skips importing ``json`` and
+the ``re`` and ``enum`` it pulls in.
 """
 
 from __future__ import annotations
@@ -64,31 +65,22 @@ def _encode(payload: dict) -> str:
     return "".join(encode(payload, 0)) + "\n"
 
 
-def _where(msg: str, line: str, pos: int) -> str:
-    """``msg`` placed as json.JSONDecodeError places it."""
-    lineno = line.count("\n", 0, pos) + 1
-    colno = pos - line.rfind("\n", 0, pos)
-    return f"{msg}: line {lineno} column {colno} (char {pos})"
-
-
 def _loads(line: str):
-    """json.loads(line): one value, with only whitespace around it."""
+    """json.loads(line).  The scanner takes a line that is one value with
+    only whitespace around it; json.loads itself rejects any other line,
+    so only a rejected line pays for importing json."""
     start = len(line) - len(line.lstrip(_WHITESPACE))
     try:
         value, end = _scan_once(line, start)
-    except StopIteration as exc:
-        raise ValueError(_where("Expecting value", line, exc.value)) from None
-    except SystemError:
-        # The scanner raises a syntax error as json.decoder's
-        # JSONDecodeError; CPython 3.11 looks that class up among the
-        # imported modules only, and without it raises SystemError.  A bad
-        # line pays for the import, and the scan again raises the error.
-        import json.decoder  # noqa: F401
+        if not line[end:].lstrip(_WHITESPACE):
+            return value
+    except (StopIteration, SystemError):
+        # No value at start, or a syntax error in one, which CPython 3.11's
+        # scanner raises as SystemError until json.decoder is imported.
+        pass
+    import json
 
-        value, end = _scan_once(line, start)
-    if line[end:].lstrip(_WHITESPACE):
-        raise ValueError(_where("Extra data", line, end))
-    return value
+    return json.loads(line)
 
 
 def task_message(matrix_rows, work: WorkRange, threads: int) -> str:

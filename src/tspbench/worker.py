@@ -1,14 +1,14 @@
-"""Worker-mode entry point: speak the wire protocol on stdin/stdout.
+"""The worker's one entry point: speak the wire protocol on stdin/stdout.
 
-The coordinator spawns this as ``python -S -c "from tspbench.worker
-import main; main()"``, which runs no ``site``, ``.pth`` file,
+The coordinator spawns every worker interpreter by
+backends.worker_command(), ``python -S -c "from tspbench.worker import
+main; main()"``, which runs no ``site``, ``.pth`` file,
 ``sitecustomize``, ``runpy`` or CLI, and finds the package through the
 PYTHONPATH that backends._worker_env sets.  The modules it imports are
 the kernel's (core, permutation, errors), the protocol's and, for a
-hybrid worker's fork team, backends.  None imports dataclasses or
-typing, none imports json or re unless a malformed line needs
-json.decoder to name its error, and only backends loads enum.
-``tspbench --worker`` runs the same loop in an ordinary process.
+hybrid worker's fork team, backends.  None imports dataclasses, typing
+or signal, and none imports json, re or enum unless a line is rejected
+and json.loads words the error.
 
 Tasks arrive one per line and each produces exactly one result line.
 A shutdown message ends the process with exit code 0.  Any protocol

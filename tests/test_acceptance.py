@@ -23,6 +23,7 @@ from tspbench.backends import (
     solve_hybrid,
     solve_message_passing,
     solve_shared_memory,
+    worker_command,
 )
 from tspbench.bench import (
     METRICS_CSV_HEADER,
@@ -359,7 +360,7 @@ def test_criterion_7_wire_protocol_conformance(tmp_path, monkeypatch, four_city_
         src_dir = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["tspbench"].__file__)))
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "tspbench", "--worker"],
+            worker_command(),
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             text=True,

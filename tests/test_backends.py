@@ -183,6 +183,16 @@ class TestMessagePassing:
         with pytest.raises(ExecutionError):
             solve_message_passing(four_city_matrix, 2)
 
+    def test_worker_override_runs_with_no_argument(self, tmp_path, monkeypatch, instance7, serial7):
+        # the override is the whole command line, entered like the real worker
+        install_fake_worker(tmp_path, monkeypatch, (
+            "if sys.argv[1:] != []:\n"
+            "    sys.exit(3)\n"
+            "from tspbench.worker import main\n"
+            "main()\n"
+        ))
+        assert solve(instance7, parse_backend_spec("procs:1")) == serial7
+
 
 def install_fake_worker(tmp_path, monkeypatch, body):
     script = tmp_path / "fake_worker.py"

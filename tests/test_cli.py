@@ -165,22 +165,23 @@ def test_help_exits_zero(capsys):
     assert "gen" in capsys.readouterr().out
 
 
-def test_worker_flag_enters_protocol_mode():
-    # real subprocess: a lone shutdown message must end it with code 0
+def test_lone_worker_flag_is_a_usage_error():
+    # a worker is entered only through backends.worker_command(); the CLI
+    # has no worker mode that would sit reading tasks from stdin
     proc = subprocess.run(
         [sys.executable, "-m", "tspbench", "--worker"],
-        input='{"v":1,"type":"shutdown"}\n',
+        stdin=subprocess.DEVNULL,
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert proc.returncode == 0
-    assert proc.stdout == ""
+    assert proc.returncode == 1
+    assert "usage:" in proc.stderr
 
 
 def test_worker_flag_among_other_arguments_is_rejected(tmp_path):
-    # only a lone --worker enters worker mode; beside a subcommand it is
-    # an unknown argument, not a switch to reading tasks from stdin
+    # beside a subcommand, too, --worker is an unknown argument, not a
+    # switch to reading tasks from stdin
     out = tmp_path / "x.txt"
     proc = subprocess.run(
         [sys.executable, "-m", "tspbench", "gen", "--n", "5", "--out", str(out), "--worker"],

@@ -50,9 +50,12 @@ def test_library_leaves_typing_out():
     assert not loaded_after("import tspbench.bench, tspbench.cli, tspbench.worker", "typing", "-S")
 
 
-@pytest.mark.parametrize("module", ["dataclasses", "inspect", "typing"])
+@pytest.mark.parametrize(
+    "module", ["dataclasses", "inspect", "typing", "signal", "enum", "functools", "types"]
+)
 def test_worker_path_leaves_module_out_under_no_site(module):
-    # the modules a worker interpreter, started with -S, imports
+    # the modules a worker interpreter, started with -S, imports; a hybrid
+    # worker's fork team takes its signal numbers from _signal
     assert not loaded_after("import tspbench.worker, tspbench.backends", module, "-S")
 
 

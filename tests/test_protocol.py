@@ -222,13 +222,14 @@ def test_unserializable_value_is_json_dumps_type_error():
 
 def assert_decodes_as_json_loads(line: str) -> None:
     """Either both decoders give the same value (same repr, so 1, 1.0,
-    True and NaN stay apart), or both reject the line and parse_message
-    rejects it as a malformed line."""
+    True and NaN stay apart), or both reject the line with the same error
+    text and parse_message rejects it as a malformed line."""
     try:
         expected = repr(json.loads(line))
-    except (ValueError, RecursionError):
-        with pytest.raises((ValueError, RecursionError)):
+    except (ValueError, RecursionError) as exc:
+        with pytest.raises((ValueError, RecursionError)) as rejected:
             _loads(line)
+        assert str(rejected.value) == str(exc)
         with pytest.raises(ProtocolError, match="^malformed message line: "):
             parse_message(line)
         return
