@@ -1,10 +1,13 @@
 import copy
 import itertools
+import math
 import os
 import pickle
+from unittest import mock
 
 import pytest
 
+from tspbench import core
 from tspbench.core import CostMatrix
 from tspbench.errors import ValidationError
 
@@ -54,6 +57,16 @@ def brute_force_best(rows):
             best = key
     cost, perm = best
     return cost, (0, *perm, 0)
+
+
+#: The scan kernel's two paths: the plain walk for every range, however
+#: long, and 5-level blocks for every range, however short.
+KERNEL_PATHS = {"walk": math.inf, "block": 0}
+
+
+def kernel_path(path: str):
+    """Context in which every scan takes ``path`` of KERNEL_PATHS."""
+    return mock.patch.object(core, "_BLOCK_MIN", KERNEL_PATHS[path])
 
 
 def all_ones(n: int) -> CostMatrix:

@@ -3,7 +3,8 @@
 perfbench's Held-Karp solver shares no code with tspbench and returns
 the lexicographically smallest optimal tour, so it checks the serial
 walk and a forked team on cost, path and tie-break at n = 11, where
-``brute_force_best`` in conftest would take minutes.
+``brute_force_best`` in conftest would take minutes, on both kernel
+paths.
 """
 
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import KERNEL_PATHS, kernel_path
 from tspbench.backends import parse_backend_spec, solve
 from tspbench.core import solve_serial
 from tspbench.instances import generate_instance
@@ -30,6 +32,9 @@ def load_held_karp():
 def test_eleven_cities_match_held_karp(symmetric):
     matrix = generate_instance(11, 611, symmetric)
     expected = load_held_karp()(matrix.costs)
-    for result in (solve_serial(matrix), solve(matrix, parse_backend_spec("threads:2"))):
-        assert (result.optimal_cost, result.optimal_path) == expected
-        assert result.evaluated == factorial(10)
+    for path in KERNEL_PATHS:
+        with kernel_path(path):
+            results = (solve_serial(matrix), solve(matrix, parse_backend_spec("threads:2")))
+        for result in results:
+            assert (result.optimal_cost, result.optimal_path) == expected, path
+            assert result.evaluated == factorial(10)

@@ -5,7 +5,8 @@ reference: it recomputes every tour from scratch and steps with
 next_permutation.  solve_range must return what the old solve_range
 returned, (cost, path, evaluated), on every range checked here, on
 symmetric, asymmetric and all-ones matrices, with and without the
-fault variable.
+fault variable, and on both kernel paths: the plain walk and the
+5-level blocks.
 """
 
 import os
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_ones
+from conftest import KERNEL_PATHS, all_ones, kernel_path
+from tspbench import core
 from tspbench.core import (
     EMPTY_RESULT,
     FAULT_ENV_VAR,
@@ -88,8 +90,11 @@ def fault(request, monkeypatch):
 
 def assert_ranges_match(matrix, ranges):
     for start, end in ranges:
-        got = solve_range(matrix, WorkRange(start, end))
-        assert got == reference_range(matrix, start, end), (matrix.n, start, end)
+        expected = reference_range(matrix, start, end)
+        for path in KERNEL_PATHS:
+            with kernel_path(path):
+                got = solve_range(matrix, WorkRange(start, end))
+            assert got == expected, (path, matrix.n, start, end)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -130,13 +135,30 @@ def test_drawn_ranges_match_the_reference(data):
     matrix = make_matrix(data.draw(st.sampled_from(KINDS), label="kind"), n)
     env = {FAULT_ENV_VAR: "1" if data.draw(st.booleans(), label="fault") else ""}
     with mock.patch.dict(os.environ, env):
-        assert solve_range(matrix, WorkRange(start, end)) == reference_range(matrix, start, end)
+        assert_ranges_match(matrix, [(start, end)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_ranges_at_the_block_threshold_match_the_reference(kind, fault, monkeypatch):
+    # one leaf short of _BLOCK_MIN the range walks; at it, the range asks
+    # for the block.  Both start off a block's boundary at n = 9.
+    asked = []
+    block5 = core._block5
+    monkeypatch.setattr(core, "_block5", lambda: asked.append(1) or block5())
+    matrix = make_matrix(kind, 9)
+    for count, blocks in ((core._BLOCK_MIN - 1, 0), (core._BLOCK_MIN, 1)):
+        expected = reference_range(matrix, 777, 777 + count)
+        assert solve_range(matrix, WorkRange(777, 777 + count)) == expected
+        assert len(asked) == blocks
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_serial_is_the_full_range_and_ignores_the_fault_variable(kind, monkeypatch):
     matrix = make_matrix(kind, 8)
     expected = reference_range(matrix, 0, factorial(7))
-    assert solve_serial(matrix) == expected
-    monkeypatch.setenv(FAULT_ENV_VAR, "1")
-    assert solve_serial(matrix) == expected
+    for path in KERNEL_PATHS:
+        with kernel_path(path):
+            assert solve_serial(matrix) == expected
+            monkeypatch.setenv(FAULT_ENV_VAR, "1")
+            assert solve_serial(matrix) == expected
+            monkeypatch.delenv(FAULT_ENV_VAR)
