@@ -27,8 +27,8 @@ import os
 import platform
 import reprlib
 import time
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
 from statistics import median
 
 from .backends import BackendSpec, solve
@@ -43,52 +43,40 @@ RAW_CSV_HEADER = "backend,n,p,run_index,seconds"
 METRICS_CSV_HEADER = "backend,n,p,mean_seconds,speedup,efficiency,karp_flatt"
 
 
-@dataclass(frozen=True)
-class BenchPlan:
-    """What to benchmark.  The serial backend is always run first for
-    every n (prepended when absent) because the metrics need its mean
-    as the baseline."""
+class BenchPlan(namedtuple("BenchPlan", "n_values backends repetitions warmup seed symmetric",
+                           defaults=(5, 1, 0, True))):
+    """What to benchmark, checked like CostMatrix.  The serial backend is
+    always run first for every n (prepended when absent) because the
+    metrics need its mean as the baseline."""
 
-    n_values: tuple[int, ...]
-    backends: tuple[BackendSpec, ...]
-    repetitions: int = 5
-    warmup: int = 1
-    seed: int = 0
-    symmetric: bool = True
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(self.n_values))
-        object.__setattr__(self, "backends", tuple(self.backends))
-        if not self.n_values:
+    def __new__(cls, n_values: Iterable[int], backends: Iterable[BackendSpec],
+                repetitions: int = 5, warmup: int = 1, seed: int = 0, symmetric: bool = True):
+        n_values = tuple(n_values)
+        backends = tuple(backends)
+        if not n_values:
             raise ValidationError("plan needs at least one problem size")
-        for n in self.n_values:
+        for n in n_values:
             check_city_count(n)
-        if not self.backends:
+        if not backends:
             raise ValidationError("plan needs at least one backend")
-        if self.repetitions < 1:
-            raise ValidationError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.warmup < 0:
-            raise ValidationError(f"warmup must be >= 0, got {self.warmup}")
+        for name, value in (("repetitions", repetitions), ("warmup", warmup), ("seed", seed)):
+            if type(value) is not int:  # a bool is no count
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if repetitions < 1:
+            raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
+        if warmup < 0:
+            raise ValidationError(f"warmup must be >= 0, got {warmup}")
+        return super().__new__(cls, n_values, backends, repetitions, warmup, seed, symmetric)
 
 
-@dataclass(frozen=True)
-class InstanceSolution:
-    """The (deterministic) answer for one problem size, kept in the
-    report so consumers can check reproducibility without re-solving."""
+#: The (deterministic) answer for one problem size, kept in the report
+#: so consumers can check reproducibility without re-solving.
+InstanceSolution = namedtuple("InstanceSolution", "n optimal_cost optimal_path")
 
-    n: int
-    optimal_cost: int
-    optimal_path: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Report:
-    schema_version: str
-    plan: BenchPlan
-    environment: str
-    solutions: tuple[InstanceSolution, ...]
-    timings: tuple[TimingRecord, ...]
-    metrics: tuple[MetricsRow, ...]
+Report = namedtuple("Report", "schema_version plan environment solutions timings metrics")
 
 
 def _normalized_backends(specs: Iterable[BackendSpec]) -> tuple[BackendSpec, ...]:
@@ -125,7 +113,7 @@ def run_bench(plan: BenchPlan) -> Report:
     baseline; a mismatch raises CorrectnessError and no report is
     produced.
     """
-    plan = replace(plan, backends=_normalized_backends(plan.backends))
+    plan = plan._replace(backends=_normalized_backends(plan.backends))
     records: list[TimingRecord] = []
     solutions: list[InstanceSolution] = []
     for n in plan.n_values:

@@ -51,6 +51,8 @@ FAULT_ENV_VAR = "TSPBENCH_FAULT_INVERT"
 def check_city_count(n: int) -> None:
     """The one size rule.  It is checked only where a size enters the
     program, CostMatrix included, so every CostMatrix is solvable."""
+    if type(n) is not int:  # 4.0 and True are no count
+        raise ValidationError(f"city count must be an integer, got {n!r}")
     if not 2 <= n <= MAX_CITIES:
         raise ValidationError(f"city count must be in 2 .. {MAX_CITIES}, got {n}")
 

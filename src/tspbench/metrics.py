@@ -3,8 +3,9 @@ fraction (Karp-Flatt metric) over timing records."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from math import isfinite
 from statistics import fmean
 
 from .errors import ValidationError
@@ -40,29 +41,28 @@ def karp_flatt(psi: float, p: int) -> float:
     return (1.0 / psi - 1.0 / p) / (1.0 - 1.0 / p)
 
 
-@dataclass(frozen=True)
-class TimingRecord:
+class TimingRecord(namedtuple("TimingRecord", "backend n p runs mean_time")):
     """Wall times for one (backend, n, p) configuration; mean_time is
     the arithmetic mean of the individual runs and is what the derived
-    metrics use."""
+    metrics use.  Checked like CostMatrix."""
 
-    backend: str
-    n: int
-    p: int
-    runs: tuple[float, ...]
-    mean_time: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __post_init__(self):
-        object.__setattr__(self, "runs", tuple(self.runs))
-        if not self.runs:
+    def __new__(cls, backend: str, n: int, p: int, runs: Iterable[float], mean_time: float):
+        runs = tuple(runs)
+        if not runs:
             raise ValidationError("a timing record needs at least one run")
-        if any(t <= 0 for t in self.runs):
-            raise ValidationError(f"run times must be positive, got {self.runs}")
-        expected = fmean(self.runs)
-        if abs(self.mean_time - expected) > 1e-9 * max(1.0, expected):
+        if any(t <= 0 for t in runs):
+            raise ValidationError(f"run times must be positive, got {runs}")
+        if not all(map(isfinite, runs)):  # the report's JSON holds no NaN or Infinity
+            raise ValidationError(f"run times must be finite, got {runs}")
+        expected = fmean(runs)
+        if not abs(mean_time - expected) <= 1e-9 * max(1.0, expected):  # a NaN mean fails too
             raise ValidationError(
-                f"mean_time {self.mean_time} does not match the mean of runs ({expected})"
+                f"mean_time {mean_time} does not match the mean of runs ({expected})"
             )
+        return super().__new__(cls, backend, n, p, runs, mean_time)
 
     @classmethod
     def from_runs(cls, backend: str, n: int, p: int, runs: Iterable[float]) -> "TimingRecord":
@@ -70,18 +70,9 @@ class TimingRecord:
         return cls(backend=backend, n=n, p=p, runs=runs, mean_time=fmean(runs) if runs else 0.0)
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    """Derived metrics for one configuration.  karp_flatt is None when
-    p == 1, where the serial fraction is undefined."""
-
-    backend: str
-    n: int
-    p: int
-    mean_seconds: float
-    speedup: float
-    efficiency: float
-    karp_flatt: float | None
+#: Derived metrics for one configuration.  karp_flatt is None when
+#: p == 1, where the serial fraction is undefined.
+MetricsRow = namedtuple("MetricsRow", "backend n p mean_seconds speedup efficiency karp_flatt")
 
 
 def build_metrics_table(

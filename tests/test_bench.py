@@ -46,6 +46,10 @@ class TestBenchPlan:
             small_plan(warmup=-1)
         with pytest.raises(ValidationError):
             small_plan(backends=())
+        for name, value in (("repetitions", 2.0), ("repetitions", True), ("warmup", 0.0),
+                            ("seed", 1.5)):
+            with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {value}$"):
+                small_plan(**{name: value})
 
 
 class TestRunBench:

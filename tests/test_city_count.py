@@ -6,8 +6,9 @@ import pytest
 from tspbench.backends import BackendSpec
 from tspbench.bench import BenchPlan
 from tspbench.cli import cli_dispatch
-from tspbench.core import MAX_CITIES, CostMatrix, parse_instance
+from tspbench.core import MAX_CITIES, CostMatrix, check_city_count, parse_instance
 from tspbench.errors import ValidationError
+from tspbench.instances import generate_instance
 
 TOO_MANY = MAX_CITIES + 1
 
@@ -32,3 +33,19 @@ def test_bench_names_the_size_rule_not_big(capsys):
     assert cli_dispatch(["bench", "--n", "40", "--backends", "serial"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: city count must be in 2 .. {MAX_CITIES}, got 40"]
+
+
+@pytest.mark.parametrize("n", [4.0, True, "4"])
+@pytest.mark.parametrize(
+    "enter",
+    [
+        check_city_count,
+        lambda n: generate_instance(n, 0),
+        lambda n: BenchPlan(n_values=(n,), backends=(BackendSpec("serial"),)),
+    ],
+    ids=["check_city_count", "generate_instance", "BenchPlan"],
+)
+def test_a_size_must_be_an_int(enter, n):
+    with pytest.raises(ValidationError) as info:
+        enter(n)
+    assert str(info.value) == f"city count must be an integer, got {n!r}"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import FOUR_CITY_ROWS, all_ones, brute_force_best, check_record, tour_cost
 from tspbench.backends import KINDS, BackendSpec
+from tspbench.bench import BenchPlan
 from tspbench.core import (
     EMPTY_RESULT,
     INFINITE_COST,
@@ -70,8 +71,8 @@ class TestCostMatrix:
 
 
 class TestRecords:
-    """The checked records on the solve path: each check's error text,
-    and the behaviour every such record keeps (conftest.check_record)."""
+    """The checked records: each check's error text, and the behaviour
+    every such record keeps (conftest.check_record)."""
 
     @pytest.mark.parametrize(
         "build,text",
@@ -116,8 +117,13 @@ class TestRecords:
              {"evaluated": -1}),
             (BackendSpec("message_passing", None, 4242), {"kind": "message_passing", "processes": 4242},
              "BackendSpec(kind='message_passing', threads=None, processes=4242)", {"threads": 2}),
+            (BenchPlan((8,), (BackendSpec("serial"),), 4242),
+             {"n_values": (8,), "backends": (BackendSpec("serial"),), "repetitions": 4242},
+             "BenchPlan(n_values=(8,), backends=(BackendSpec(kind='serial', threads=None, "
+             "processes=None),), repetitions=4242, warmup=1, seed=0, symmetric=True)",
+             {"warmup": -1}),
         ],
-        ids=["CostMatrix", "SolveResult", "BackendSpec"],
+        ids=["CostMatrix", "SolveResult", "BackendSpec", "BenchPlan"],
     )
     def test_record_behaviour(self, record, kwargs, text, bad):
         check_record(record, kwargs, text, bad)

@@ -45,9 +45,10 @@ def test_import_leaves_module_out(statement, module):
     assert not loaded_after(statement, module)
 
 
-def test_library_leaves_typing_out():
+@pytest.mark.parametrize("module", ["typing", "dataclasses", "inspect"])
+def test_library_leaves_typing_out(module):
     # under -S, because site itself may import typing (a .pth file can)
-    assert not loaded_after("import tspbench.bench, tspbench.cli, tspbench.worker", "typing", "-S")
+    assert not loaded_after("import tspbench.bench, tspbench.cli, tspbench.worker", module, "-S")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import math
+import pickle
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,25 @@ class TestTimingRecord:
     def test_rejects_inconsistent_mean(self):
         with pytest.raises(ValidationError):
             TimingRecord("serial", 10, 1, (1.0, 2.0), 7.0)
+        with pytest.raises(ValidationError):
+            TimingRecord("serial", 10, 1, (1.0, 2.0), math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_runs(self, bad):
+        # report_to_json would write NaN or Infinity, which report_from_json refuses
+        with pytest.raises(ValidationError, match="run times must be finite"):
+            TimingRecord.from_runs("serial", 4, 1, [1.0, bad])
+
+    def test_replace_and_unpickle_run_the_checks(self):
+        record = TimingRecord.from_runs("serial", 10, 1, [1.0, 3.0])
+        with pytest.raises(ValidationError, match="needs at least one run"):
+            record._replace(runs=())
+        payload = pickle.dumps(record)
+        assert pickle.loads(payload) == record
+        three = struct.pack(">d", 3.0)  # a BINFLOAT's eight bytes
+        assert payload.count(three) == 1
+        with pytest.raises(ValidationError, match="run times must be positive"):
+            pickle.loads(payload.replace(three, struct.pack(">d", -3.0)))
 
 
 class TestBuildMetricsTable:
