@@ -65,6 +65,8 @@ class BenchPlan(namedtuple("BenchPlan", "n_values backends repetitions warmup se
         for name, value in (("repetitions", repetitions), ("warmup", warmup), ("seed", seed)):
             if type(value) is not int:  # a bool is no count
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if type(symmetric) is not bool:  # the report's reader takes only a bool
+            raise ValidationError(f"symmetric must be a bool, got {symmetric!r}")
         if repetitions < 1:
             raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
         if warmup < 0:

@@ -39,7 +39,7 @@ INFINITE_COST = 2**63 - 1
 MAX_CITIES = 34
 
 #: The scan kernel's name, recorded in every benchmark report.
-KERNEL = "prefix-walk+block5"
+KERNEL = "prefix-walk+block5+tail3"
 
 #: Environment variable for fault-injection tests: when set (non-empty)
 #: solve_range walks the negated costs, so it keeps the costliest tour
@@ -150,8 +150,9 @@ def _fault_enabled() -> bool:
 
 
 #: Smallest range that scans in 5-level blocks.  Compiling the block
-#: costs 2-3.5 ms per process and it saves ~0.15 us per leaf, so it pays
-#: from about 25,000 leaves (CPython 3.11 under -S); smaller ranges,
+#: costs ~3 ms per process, building its n**3 suffix table 0.1 ms at
+#: n = 10 and 3 ms at n = 34, and a block leaf saves ~0.15 us, so blocks
+#: pay from 20,000-25,000 leaves (CPython 3.11 under -S); smaller ranges,
 #: every n = 8 solve and every half of n = 9 among them, keep the walk.
 _BLOCK_MIN = 25_000
 
@@ -163,17 +164,20 @@ _block = None
 
 
 def _block5():
-    """The block, compiled once per process: block(costs, tails, cost,
-    row, a, b, c, d, e) returns, as one tuple in _BLOCK_ORDER, the
-    totals of the 120 tours that end a prefix of cost ``cost``, whose
-    last city's row is ``row``, with the labels a < b < c < d < e.  Each
-    prefix sum is computed once and shared by every leaf below it."""
+    """The block, compiled once per process: block(costs, t3, cost, row,
+    a, b, c, d, e) returns, as one tuple in _BLOCK_ORDER, the totals of
+    the 120 tours that end a prefix of cost ``cost``, whose last city's
+    row is ``row``, with the labels a < b < c < d < e.  Each prefix sum
+    of up to three labels is computed once and shared by every leaf
+    below it, and a leaf adds the last three legs in one subscript of
+    the suffix table t3[y][z][w], the cost of y -> z -> w -> 0."""
     global _block
     if _block is None:
         lines = [
-            "def block(costs, tails, cost, row, a, b, c, d, e):",
+            "def block(costs, t3, cost, row, a, b, c, d, e):",
             " ra, rb, rc, rd, re = costs[a], costs[b], costs[c], costs[d], costs[e]",
-            " ta, tb, tc, td, te = tails[a], tails[b], tails[c], tails[d], tails[e]",
+            " ua, ub, uc, ud, ue = t3[a], t3[b], t3[c], t3[d], t3[e]",
+            *(f" t{y}{z} = u{y}[{z}]" for y in "abcde" for z in "abcde" if y != z),
         ]
         leaves = []
         for order in _BLOCK_ORDER:
@@ -182,7 +186,7 @@ def _block5():
                 if order[k:] == tuple(sorted(order[k:])):
                     up, via = (f"x{p[:k - 1]}", f"r{p[k - 2]}") if k > 1 else ("cost", "row")
                     lines.append(f" x{p[:k]} = {up} + {via}[{p[k - 1]}]")
-            leaves.append(f"x{p[:3]} + r{p[2]}[{p[3]}] + t{p[3]}[{p[4]}]")
+            leaves.append(f"x{p[:3]} + t{p[2]}{p[3]}[{p[4]}]")
         lines.append(f" return ({', '.join(leaves)})")
         namespace = {}
         exec(compile("\n".join(lines), "<block5>", "exec"), namespace)
@@ -197,13 +201,14 @@ def _walk(costs, n: int, start: int, count: int):
     The walk descends over the sorted remaining labels (Knuth, TAOCP
     Vol. 4A, 7.2.1.2), so a leaf adds only its last legs to the cost of
     its prefix, and the last three levels are unrolled.  A range of at
-    least _BLOCK_MIN leaves costs every whole subtree of five labels in
-    one _block5 call and keeps its first cheapest leaf.  The walk enters
-    once, at the root's edge over the range, which splits it into whole
-    subtrees and the ragged edges that lead to them (a full range is all
-    subtrees); factorial arithmetic skips every subtree outside it.  The
-    strict ``<`` keeps the first optimum visited, the smallest in
-    lexicographic order.
+    least _BLOCK_MIN leaves builds the three-leg suffix table t3 and
+    costs every whole subtree of five labels in one _block5 call,
+    keeping its first cheapest leaf.  The walk enters once, at the
+    root's edge over the range, which splits it into whole subtrees and
+    the ragged edges that lead to them (a full range is all subtrees);
+    factorial arithmetic skips every subtree outside it.  The strict
+    ``<`` keeps the first optimum visited, the smallest in lexicographic
+    order.
     """
     home = [row[0] for row in costs]
     # tails[y][z]: the last two legs y -> z -> 0 of a tour
@@ -254,12 +259,14 @@ def _walk(costs, n: int, start: int, count: int):
         # subtree leaves the walk below the threshold as it was, where a
         # length test in the walk itself slowed n = 8 solves by ~6%
         block, walk_subtree = _block5(), subtree
+        # t3[y][z][w]: the last three legs y -> z -> w -> 0 of a tour
+        t3 = [[[cost + tail for tail in tails[z]] for z, cost in enumerate(row)] for row in costs]
 
         def subtree(last, cost, rem):
             nonlocal best_cost, best_path, visited
             if len(rem) != 5:
                 return walk_subtree(last, cost, rem)
-            totals = block(costs, tails, cost, costs[last], *rem)
+            totals = block(costs, t3, cost, costs[last], *rem)
             low = min(totals)
             if low < best_cost:
                 order = _BLOCK_ORDER[totals.index(low)]

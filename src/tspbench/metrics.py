@@ -50,6 +50,9 @@ class TimingRecord(namedtuple("TimingRecord", "backend n p runs mean_time")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, backend: str, n: int, p: int, runs: Iterable[float], mean_time: float):
+        for name, value in (("n", n), ("p", p)):
+            if type(value) is not int:  # the report's reader takes only an int
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         runs = tuple(runs)
         if not runs:
             raise ValidationError("a timing record needs at least one run")

@@ -50,6 +50,9 @@ class TestBenchPlan:
                             ("seed", 1.5)):
             with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {value}$"):
                 small_plan(**{name: value})
+        for value in (0, 1, None, "yes"):  # the report's reader takes only a bool
+            with pytest.raises(ValidationError, match=f"^symmetric must be a bool, got {value!r}$"):
+                small_plan(symmetric=value)
 
 
 class TestRunBench:

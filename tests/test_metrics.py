@@ -127,6 +127,13 @@ class TestTimingRecord:
         with pytest.raises(ValidationError, match="run times must be finite"):
             TimingRecord.from_runs("serial", 4, 1, [1.0, bad])
 
+    @pytest.mark.parametrize("name, value", [("n", 10.0), ("n", True), ("p", 2.0), ("p", "2")])
+    def test_rejects_sizes_that_are_not_ints(self, name, value):
+        # the report's reader takes only an int for either
+        fields = {"backend": "serial", "n": 10, "p": 1, "runs": [1.0], name: value}
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {value!r}$"):
+            TimingRecord.from_runs(**fields)
+
     def test_replace_and_unpickle_run_the_checks(self):
         record = TimingRecord.from_runs("serial", 10, 1, [1.0, 3.0])
         with pytest.raises(ValidationError, match="needs at least one run"):

@@ -6,7 +6,8 @@ next_permutation.  solve_range must return what the old solve_range
 returned, (cost, path, evaluated), on every range checked here, on
 symmetric, asymmetric and all-ones matrices, with and without the
 fault variable, and on both kernel paths: the plain walk and the
-5-level blocks.
+5-level blocks.  The block's 120 totals are also checked one by one
+against path_cost.
 """
 
 import os
@@ -24,6 +25,7 @@ from tspbench.core import (
     INFINITE_COST,
     MAX_CITIES,
     SolveResult,
+    path_cost,
     solve_range,
     solve_serial,
 )
@@ -139,6 +141,25 @@ def test_drawn_ranges_match_the_reference(data):
     env = {FAULT_ENV_VAR: "1" if data.draw(st.booleans(), label="fault") else ""}
     with mock.patch.dict(os.environ, env):
         assert_ranges_match(matrix, [(start, end)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_block_totals_are_the_tour_costs(data):
+    # sign -1 is the negated matrix that the fault variable walks
+    n = data.draw(st.integers(6, 12), label="n")
+    matrix = make_matrix(data.draw(st.sampled_from(KINDS), label="kind"), n)
+    sign = data.draw(st.sampled_from([1, -1]), label="sign")
+    labels = data.draw(st.permutations(range(1, n)), label="labels")
+    prefix, rem = labels[: n - 6], sorted(labels[n - 6 :])
+    costs = tuple(tuple(sign * cost for cost in row) for row in matrix.costs)
+    t3 = [[[costs[y][z] + costs[z][w] + costs[w][0] for w in range(n)] for z in range(n)]
+          for y in range(n)]
+    cost = sum(costs[y][z] for y, z in zip((0, *prefix), prefix))
+    last = prefix[-1] if prefix else 0
+    totals = core._block5()(costs, t3, cost, costs[last], *rem)
+    assert totals == tuple(sign * path_cost((*prefix, *[rem[i] for i in order]), matrix)
+                           for order in core._BLOCK_ORDER)
 
 
 @pytest.mark.parametrize("kind", KINDS)
