@@ -8,11 +8,14 @@ and materializes both raw timings and derived metrics.
 Report formats
 --------------
 JSON: canonical encoding (sorted keys, two-space indent, trailing
-newline) holding full-precision numbers.  The reader parses only the
-plan, environment, solutions and each timing's runs and re-derives the
-rest (means, minima, medians, metrics rows); a file holding anything
-else, or a number of another JSON type (4.0 or true for 4), is rejected,
-and parse/emit round-trips are byte-identical.
+newline) holding full-precision numbers.  Its keys are the records'
+field names, and a timing adds the mean, minimum and median of its
+runs.  The reader parses only the plan, environment, solutions and each
+timing's runs and re-derives the rest (means, minima, medians, metrics
+rows); a file holding anything else, or a number of another JSON type
+(4.0 or true for 4), is rejected, and parse/emit round-trips are
+byte-identical.  The reader states the JSON types, and the writer runs
+it on every text it emits, so it never emits a report its reader refuses.
 CSV: raw rows as ``backend,n,p,run_index,seconds``
 with seconds to 6 decimals; the metrics table as
 ``backend,n,p,mean_seconds,speedup,efficiency,karp_flatt`` with the
@@ -40,7 +43,7 @@ from .metrics import MetricsRow, TimingRecord, build_metrics_table
 SCHEMA_VERSION = "1"
 
 RAW_CSV_HEADER = "backend,n,p,run_index,seconds"
-METRICS_CSV_HEADER = "backend,n,p,mean_seconds,speedup,efficiency,karp_flatt"
+METRICS_CSV_HEADER = ",".join(MetricsRow._fields)
 
 
 class BenchPlan(namedtuple("BenchPlan", "n_values backends repetitions warmup seed symmetric",
@@ -156,55 +159,30 @@ def _report(plan: BenchPlan, environment: str, solutions: Iterable[InstanceSolut
 
 
 def _payload(report: Report) -> dict:
-    """The JSON object of a report, as report_to_json writes it."""
+    """The JSON object of a report, as report_to_json writes it and then
+    reads back.  Its keys are the records' field names; a timing also
+    gives the mean, minimum and median of its runs."""
     return {
         "schema_version": report.schema_version,
-        "plan": {
-            "n_values": list(report.plan.n_values),
-            "backends": [
-                {"kind": s.kind, "threads": s.threads, "processes": s.processes}
-                for s in report.plan.backends
-            ],
-            "repetitions": report.plan.repetitions,
-            "warmup": report.plan.warmup,
-            "seed": report.plan.seed,
-            "symmetric": report.plan.symmetric,
-        },
+        "plan": {**report.plan._asdict(), "backends": [s._asdict() for s in report.plan.backends]},
         "environment": report.environment,
-        "solutions": [
-            {"n": s.n, "optimal_cost": s.optimal_cost, "optimal_path": list(s.optimal_path)}
-            for s in report.solutions
-        ],
+        "solutions": [s._asdict() for s in report.solutions],
         "timings": [
-            {
-                "backend": r.backend,
-                "n": r.n,
-                "p": r.p,
-                "runs": list(r.runs),
-                "mean_seconds": r.mean_time,
-                "min_seconds": min(r.runs),
-                "median_seconds": median(r.runs),
-            }
+            {"backend": r.backend, "n": r.n, "p": r.p, "runs": r.runs, "mean_seconds": r.mean_time,
+             "min_seconds": min(r.runs), "median_seconds": median(r.runs)}
             for r in report.timings
         ],
-        "metrics": [
-            {
-                "backend": m.backend,
-                "n": m.n,
-                "p": m.p,
-                "mean_seconds": m.mean_seconds,
-                "speedup": m.speedup,
-                "efficiency": m.efficiency,
-                "karp_flatt": m.karp_flatt,
-            }
-            for m in report.metrics
-        ],
+        "metrics": [m._asdict() for m in report.metrics],
     }
 
 
 def report_to_json(report: Report) -> str:
-    """Canonical JSON text for a report (byte-stable across round-trips)."""
-    return json.dumps(_payload(report), indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text for a report (byte-stable across round-trips).
+    The text is read back before it is returned, so a report whose JSON
+    the reader refuses raises its ValidationError here."""
+    text = json.dumps(_payload(report), indent=2, sort_keys=True) + "\n"
+    report_from_json(text)
+    return text
 
 
 def _reject_constant(name: str):

@@ -26,6 +26,14 @@ def _write_file(path: str, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
+def _read_file(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what}: {exc}") from None
+
+
 def _cmd_gen(args) -> int:
     from .core import format_instance
     from .instances import generate_instance
@@ -35,21 +43,11 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load_matrix(path: str):
-    from .core import parse_instance
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read instance file: {exc}") from None
-    return parse_instance(text)
-
-
 def _cmd_solve(args) -> int:
     import time
 
     from . import backends
+    from .core import parse_instance
 
     threads, procs = args.threads, args.procs
     if threads is None and args.backend in ("shared_memory", "hybrid"):
@@ -57,7 +55,7 @@ def _cmd_solve(args) -> int:
     if procs is None and args.backend in ("message_passing", "hybrid"):
         procs = 1
     spec = backends.BackendSpec(args.backend, threads=threads, processes=procs)
-    matrix = _load_matrix(args.input)
+    matrix = parse_instance(_read_file(args.input, "instance file"))
     t0 = time.perf_counter()
     result = backends.solve(matrix, spec)
     elapsed = time.perf_counter() - t0
@@ -104,11 +102,7 @@ def _cmd_bench(args) -> int:
 def _cmd_metrics(args) -> int:
     from . import bench
 
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            report = bench.report_from_json(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read report: {exc}") from None
+    report = bench.report_from_json(_read_file(args.input, "report"))
     text = bench.metrics_csv_text(report)
     if args.out:
         _write_file(args.out, text)

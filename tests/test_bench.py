@@ -223,6 +223,23 @@ class TestReportSerialization:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (InstanceSolution(4, 80.0, (0, 1, 3, 2, 0)), "'optimal_cost' must be int"),
+            (InstanceSolution(4, True, (0, 1, 3, 2, 0)), "'optimal_cost' must be int"),
+            (InstanceSolution(4.0, 80, (0, 1, 3, 2, 0)), "'n' must be int"),
+            (TimingRecord.from_runs("serial", 4, 1, [1, 2]), "'runs' must be float"),
+        ],
+        ids=["float-cost", "boolean-cost", "float-n", "integer-runs"],
+    )
+    def test_writer_refuses_what_its_reader_refuses(self, record, message):
+        # each record takes these values, and json.dumps writes them as
+        # 80.0, true, 4.0 and [1, 2], which report_from_json rejects
+        field = "timings" if isinstance(record, TimingRecord) else "solutions"
+        with pytest.raises(ValidationError, match=message):
+            report_to_json(GOLDEN_REPORT._replace(**{field: (record,)}))
+
     def test_repeated_size_round_trips(self):
         report = run_bench(small_plan(n_values=(5, 5), repetitions=1))
         assert [s.n for s in report.solutions] == [5, 5]
