@@ -2,12 +2,42 @@
 """How the permutation space is indexed and split among workers.
 
 Every tour has a lexicographic index in 0 .. (n-1)!-1.  A worker gets a
-half-open index range; unrank, rank and next_permutation below name the
-tours of that range one by one (the scan kernel itself reaches the start
-by factorial arithmetic and walks the tree of prefixes).
+half-open index range; unrank, and the rank and next_permutation defined
+below, name the tours of that range one by one (the scan kernel itself
+reaches the start by factorial arithmetic and walks the tree of prefixes).
 """
 
-from tspbench.permutation import factorial, next_permutation, partition, rank, unrank
+from tspbench.permutation import factorial, partition, unrank
+
+
+def next_permutation(seq):
+    """Step ``seq`` to its lexicographic successor in place; at the last
+    permutation, wrap to the first and return False."""
+    i = len(seq) - 2
+    while i >= 0 and seq[i] >= seq[i + 1]:
+        i -= 1  # seq[i + 1:] is the longest descending tail
+    if i < 0:
+        seq.reverse()
+        return False
+    j = len(seq) - 1
+    while seq[j] <= seq[i]:
+        j -= 1  # the tail's smallest label above seq[i]
+    seq[i], seq[j] = seq[j], seq[i]
+    seq[i + 1 :] = reversed(seq[i + 1 :])
+    return True
+
+
+def rank(perm):
+    """The inverse of unrank: each label's place among the labels still
+    unused, read as a digit in base (k-1)!, (k-2)!, ..., 0!."""
+    pool = sorted(perm)
+    index = 0
+    for label in perm:
+        digit = pool.index(label)
+        pool.pop(digit)
+        index += digit * factorial(len(pool))
+    return index
+
 
 print("factorials grow brutally fast (the whole point of the exercise):")
 for n in (5, 10, 15, 20, 34):

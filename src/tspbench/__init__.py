@@ -4,11 +4,15 @@ Importing the package loads no submodule; import each name from the
 module that defines it:
 
 * ``tspbench.core``: the instance type, tour costs, the scan kernel and
-  the serial and range solvers, result reduction, the instance file format;
+  the serial and range solvers, result reduction;
 * ``tspbench.permutation``: lexicographic permutation indices and the
   work-range partitioner;
-* ``tspbench.instances``: deterministic instance generation;
-* ``tspbench.backends``: the parallel executor and backend specs;
+* ``tspbench.instances``: deterministic instance generation and the
+  instance file format;
+* ``tspbench.backends``: the parallel executor, backend specs and worker
+  start;
+* ``tspbench.team``: the fork team, and the loop that starts, reads and
+  reaps every child;
 * ``tspbench.protocol``: the coordinator/worker wire protocol;
 * ``tspbench.worker``: the worker-mode entry point;
 * ``tspbench.bench``: benchmark sweeps and their reports;

@@ -35,8 +35,7 @@ def _read_file(path: str, what: str) -> str:
 
 
 def _cmd_gen(args) -> int:
-    from .core import format_instance
-    from .instances import generate_instance
+    from .instances import format_instance, generate_instance
 
     matrix = generate_instance(args.n, args.seed, symmetric=args.symmetric)
     _write_file(args.out, format_instance(matrix))
@@ -47,7 +46,7 @@ def _cmd_solve(args) -> int:
     import time
 
     from . import backends
-    from .core import parse_instance
+    from .instances import parse_instance
 
     threads, procs = args.threads, args.procs
     if threads is None and args.backend in ("shared_memory", "hybrid"):

@@ -1,4 +1,5 @@
-"""Deterministic, cross-platform instance generation.
+"""Deterministic, cross-platform instance generation, and the
+plain-text instance file format.
 
 The generator is SplitMix64: a 64-bit counter advanced by the constant
 0x9E3779B97F4A7C15 and finalized with two xor-shift-multiply rounds.
@@ -11,7 +12,10 @@ which is what makes golden regression costs meaningful.
 
 from __future__ import annotations
 
+import reprlib
+
 from .core import CostMatrix, check_city_count
+from .errors import ValidationError
 
 _MASK64 = (1 << 64) - 1
 
@@ -60,3 +64,52 @@ def generate_instance(n: int, seed: int, symmetric: bool = True) -> CostMatrix:
                 if i != j:
                     grid[i][j] = rng.cost()
     return CostMatrix(tuple(tuple(row) for row in grid))
+
+
+def _parse_int(text: str) -> int:
+    """An integer in the instance format: an optional ``-`` and ASCII
+    digits, nothing of Python's wider syntax (``+``, ``_``, other scripts)."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+def parse_instance(text: str) -> CostMatrix:
+    """Parse the plain-text instance format.
+
+    Line 1 is the city count n; lines 2 .. n+1 hold n comma-separated
+    non-negative integers each, in ASCII digits.  Ragged rows, negative
+    entries and a nonzero diagonal are rejected.
+    """
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ValidationError("empty instance file")
+    head = lines[0].strip()
+    try:
+        n = _parse_int(head)
+    except ValueError:
+        head = reprlib.repr(head)
+        raise ValidationError(f"line 1: expected the city count, got {head}") from None
+    check_city_count(n)
+    if len(lines) - 1 != n:
+        raise ValidationError(f"expected {n} matrix rows, found {len(lines) - 1}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != n:
+            raise ValidationError(f"line {lineno}: expected {n} values, got {len(parts)}")
+        try:
+            rows.append(tuple(_parse_int(p) for p in parts))
+        except ValueError:
+            raise ValidationError(f"line {lineno}: non-integer cost entry") from None
+    return CostMatrix(tuple(rows))
+
+
+def format_instance(matrix: CostMatrix) -> str:
+    """Serialize a matrix in the plain-text instance format."""
+    lines = [str(matrix.n)]
+    lines.extend(",".join(str(c) for c in row) for row in matrix.costs)
+    return "\n".join(lines) + "\n"

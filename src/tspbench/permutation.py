@@ -39,30 +39,6 @@ def factorial(n: int) -> int:
     return _FACTORIALS[n]
 
 
-def next_permutation(seq: list) -> bool:
-    """Advance ``seq`` to its lexicographic successor, in place.
-
-    Returns True when a successor exists.  When ``seq`` is already the
-    last permutation it is reset to sorted (first) order and False is
-    returned, mirroring the C++ library convention so scan loops can
-    detect the wrap-around.
-    """
-    if not seq:
-        raise ValidationError("next_permutation of an empty sequence")
-    i = len(seq) - 2
-    while i >= 0 and seq[i] >= seq[i + 1]:
-        i -= 1
-    if i < 0:
-        seq.reverse()
-        return False
-    j = len(seq) - 1
-    while seq[j] <= seq[i]:
-        j -= 1
-    seq[i], seq[j] = seq[j], seq[i]
-    seq[i + 1 :] = seq[len(seq) - 1 : i : -1]
-    return True
-
-
 def unrank(index: int, items: Sequence) -> list:
     """The permutation at position ``index`` in the lexicographic order
     of all permutations of ``items`` (sorted ascending, no duplicates).
@@ -88,23 +64,6 @@ def unrank(index: int, items: Sequence) -> list:
         digit, rem = divmod(rem, _FACTORIALS[pos])
         out.append(pool.pop(digit))
     return out
-
-
-def rank(perm: Sequence) -> int:
-    """Lexicographic index of ``perm`` among all permutations of its own
-    label set; the inverse of :func:`unrank`.
-    """
-    pool = sorted(perm)
-    k = len(pool)
-    if len(set(pool)) != k:
-        raise ValidationError("duplicate labels in permutation")
-    factorial(k)  # capacity check
-    index = 0
-    for pos, label in enumerate(perm):
-        d = pool.index(label)
-        index += d * _FACTORIALS[k - 1 - pos]
-        pool.pop(d)
-    return index
 
 
 class WorkRange(namedtuple("WorkRange", "start end")):

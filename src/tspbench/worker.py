@@ -1,14 +1,16 @@
 """The worker's one entry point: speak the wire protocol on stdin/stdout.
 
 The coordinator spawns every worker interpreter by
-backends.worker_command(), ``python -S -c "from tspbench.worker import
-main; main()"``, which runs no ``site``, ``.pth`` file,
-``sitecustomize``, ``runpy`` or CLI, and finds the package through the
-PYTHONPATH that backends._worker_env sets.  The modules it imports are
-the kernel's (core, permutation, errors), the protocol's and, for a
-hybrid worker's fork team, backends.  None imports dataclasses, typing
-or signal, and none imports json, re or enum unless a line is rejected
-and json.loads words the error.
+backends.worker_command(), ``python -S -c`` with code that drops the
+cwd's entry from sys.path and calls main(): it runs no ``site``,
+``.pth`` file, ``sitecustomize``, ``runpy`` or CLI, imports nothing
+from the caller's cwd, and finds the package through the PYTHONPATH
+that backends._worker_env sets.  It imports the kernel's package
+modules (core, permutation, errors), protocol and this one; a hybrid
+worker also imports team for its fork team, and no worker imports
+backends.  None imports dataclasses, typing or signal, and none imports
+json, re or enum unless a line is rejected and json.loads words the
+error.
 
 Tasks arrive one per line and each produces exactly one result line.
 A shutdown message ends the process with exit code 0.  Any protocol
@@ -33,9 +35,9 @@ def _run_task(task: Task):
     work = WorkRange(task.start, task.end)
     if task.threads == 1:
         return solve_range(matrix, work)
-    # Local fork team; imported lazily so plain message-passing workers
-    # never pay for importing backends.
-    from .backends import solve_interval_team
+    # Local fork team, imported lazily: without a bytecode cache a worker
+    # compiles every module it imports, and a team of one needs none.
+    from .team import solve_interval_team
 
     return solve_interval_team(matrix, work, task.threads)
 

@@ -10,6 +10,7 @@ import pytest
 from tspbench import core
 from tspbench.core import CostMatrix
 from tspbench.errors import ValidationError
+from tspbench.permutation import factorial
 
 # 4-city example with hand-checkable leg sums; two tours cost 80
 # ((1,3,2) and (2,3,1)) so it also exercises the tie-break.
@@ -93,3 +94,44 @@ def check_record(record, kwargs, text, bad):
         pickle.loads(payload.replace(b"M\x92\x10", b"J\xff\xff\xff\xff"))  # -1 as BININT
     with pytest.raises(ValidationError):
         record._replace(**bad)
+
+
+def next_permutation(seq: list) -> bool:
+    """Advance ``seq`` to its lexicographic successor, in place.
+
+    Returns True when a successor exists.  When ``seq`` is already the
+    last permutation it is reset to sorted (first) order and False is
+    returned, mirroring the C++ library convention so scan loops can
+    detect the wrap-around.
+    """
+    if not seq:
+        raise ValidationError("next_permutation of an empty sequence")
+    i = len(seq) - 2
+    while i >= 0 and seq[i] >= seq[i + 1]:
+        i -= 1
+    if i < 0:
+        seq.reverse()
+        return False
+    j = len(seq) - 1
+    while seq[j] <= seq[i]:
+        j -= 1
+    seq[i], seq[j] = seq[j], seq[i]
+    seq[i + 1 :] = seq[len(seq) - 1 : i : -1]
+    return True
+
+
+def rank(perm) -> int:
+    """Lexicographic index of ``perm`` among all permutations of its own
+    label set; the inverse of tspbench.permutation.unrank.
+    """
+    pool = sorted(perm)
+    k = len(pool)
+    if len(set(pool)) != k:
+        raise ValidationError("duplicate labels in permutation")
+    factorial(k)  # capacity check
+    index = 0
+    for pos, label in enumerate(perm):
+        d = pool.index(label)
+        index += d * factorial(k - 1 - pos)
+        pool.pop(d)
+    return index

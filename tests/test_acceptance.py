@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import brute_force_best
+from conftest import next_permutation, rank
 from tspbench.backends import (
     BackendSpec,
     hybrid_ranges,
@@ -34,11 +34,11 @@ from tspbench.bench import (
     run_bench,
 )
 from tspbench.cli import cli_dispatch
-from tspbench.core import format_instance, solve_range, solve_serial
+from tspbench.core import solve_range, solve_serial
 from tspbench.errors import ExecutionError, ProtocolError
-from tspbench.instances import generate_instance
+from tspbench.instances import format_instance, generate_instance
 from tspbench.metrics import karp_flatt
-from tspbench.permutation import WorkRange, factorial, next_permutation, partition, rank, unrank
+from tspbench.permutation import WorkRange, factorial, partition, unrank
 from tspbench.protocol import parse_message, shutdown_message, task_message
 
 

@@ -16,9 +16,9 @@ from tspbench.backends import (
     solve_shared_memory,
 )
 from tspbench.cli import cli_dispatch
-from tspbench.core import FAULT_ENV_VAR, SolveResult, format_instance, solve_range, solve_serial
+from tspbench.core import FAULT_ENV_VAR, SolveResult, solve_range, solve_serial
 from tspbench.errors import ExecutionError, ProtocolError, ValidationError
-from tspbench.instances import generate_instance
+from tspbench.instances import format_instance, generate_instance
 from tspbench.permutation import WorkRange, factorial, partition
 
 
@@ -73,7 +73,7 @@ class TestWorkerCount:
             result = solve_range(matrix, work)
             return SolveResult(result.optimal_cost, result.optimal_path, result.evaluated + 1)
 
-        monkeypatch.setattr("tspbench.backends.solve_range", over_counting)
+        monkeypatch.setattr("tspbench.team.solve_range", over_counting)
         with pytest.raises(ExecutionError, match="worker 0 evaluated"):
             solve_interval_team(four_city_matrix, WorkRange(0, 6), threads)
 
@@ -90,7 +90,7 @@ class TestForkTeamFailures:
                 raise RuntimeError("boom")
             return solve_range(matrix, work)
 
-        monkeypatch.setattr("tspbench.backends.solve_range", failing_second_range)
+        monkeypatch.setattr("tspbench.team.solve_range", failing_second_range)
         with pytest.raises(ExecutionError, match="worker 1 failed: RuntimeError: boom"):
             solve_interval_team(four_city_matrix, WorkRange(0, 6), 2)
         assert_no_child_left()
@@ -100,7 +100,7 @@ class TestForkTeamFailures:
         def killed(matrix, work):
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr("tspbench.backends.solve_range", killed)
+        monkeypatch.setattr("tspbench.team.solve_range", killed)
         with pytest.raises(ExecutionError, match="worker 0 exited without a result"):
             solve_interval_team(four_city_matrix, WorkRange(0, 6), 2)
         assert_no_child_left()
@@ -111,7 +111,7 @@ class TestForkTeamFailures:
                 raise RuntimeError("boom")
             time.sleep(60)
 
-        monkeypatch.setattr("tspbench.backends.solve_range", first_fails_rest_hang)
+        monkeypatch.setattr("tspbench.team.solve_range", first_fails_rest_hang)
         started = time.monotonic()
         with pytest.raises(ExecutionError, match="worker 0 failed: RuntimeError: boom"):
             solve_interval_team(four_city_matrix, WorkRange(0, 6), 2)

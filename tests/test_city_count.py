@@ -6,9 +6,9 @@ import pytest
 from tspbench.backends import BackendSpec
 from tspbench.bench import BenchPlan
 from tspbench.cli import cli_dispatch
-from tspbench.core import MAX_CITIES, CostMatrix, check_city_count, parse_instance
+from tspbench.core import MAX_CITIES, CostMatrix, check_city_count
 from tspbench.errors import ValidationError
-from tspbench.instances import generate_instance
+from tspbench.instances import generate_instance, parse_instance
 
 TOO_MANY = MAX_CITIES + 1
 

@@ -6,8 +6,7 @@ import pytest
 
 from tspbench.bench import report_from_json
 from tspbench.cli import cli_dispatch
-from tspbench.core import parse_instance, solve_serial
-from tspbench.instances import generate_instance
+from tspbench.instances import generate_instance, parse_instance
 
 
 def test_gen_writes_deterministic_instance(tmp_path):

@@ -14,14 +14,13 @@ from tspbench.core import (
     CostMatrix,
     SolveResult,
     better_result,
-    format_instance,
-    parse_instance,
     path_cost,
     reduce_results,
     solve_range,
     solve_serial,
 )
 from tspbench.errors import ValidationError
+from tspbench.instances import format_instance, parse_instance
 from tspbench.permutation import WorkRange, factorial, partition
 
 

@@ -13,16 +13,33 @@ from tspbench.protocol import parse_message
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def loaded_after(statement: str, module: str, *flags: str) -> bool:
-    """Whether ``module`` is in sys.modules after ``statement`` runs in
-    a fresh interpreter, started with ``flags``, with src/ on PYTHONPATH."""
+def printed_after(statement: str, expression: str, *flags: str) -> str:
+    """What ``print(expression)`` writes after ``statement`` runs in a
+    fresh interpreter, started with ``flags``, with src/ on PYTHONPATH."""
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    code = f"import sys\n{statement}\nprint({module!r} in sys.modules)"
+    code = f"import sys\n{statement}\nprint({expression})"
     out = subprocess.run(
         [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True,
         timeout=60,
     )
-    return out.stdout.strip() == "True"
+    return out.stdout.strip()
+
+
+def loaded_after(statement: str, module: str, *flags: str) -> bool:
+    """Whether ``module`` is in sys.modules after ``statement`` runs (see
+    printed_after)."""
+    return printed_after(statement, f"{module!r} in sys.modules", *flags) == "True"
+
+
+#: An expression for the package's modules in sys.modules, sorted.
+PACKAGE_MODULES = "sorted(m for m in sys.modules if m.partition('.')[0] == 'tspbench')"
+
+#: The package modules a worker interpreter imports.
+WORKER_MODULES = ["tspbench", "tspbench.core", "tspbench.errors", "tspbench.permutation",
+                  "tspbench.protocol", "tspbench.worker"]
+
+#: What no worker imports, a hybrid one included.
+HEAVY_MODULES = ["dataclasses", "inspect", "typing", "signal", "enum", "functools", "types"]
 
 
 @pytest.mark.parametrize(
@@ -51,13 +68,33 @@ def test_library_leaves_typing_out(module):
     assert not loaded_after("import tspbench.bench, tspbench.cli, tspbench.worker", module, "-S")
 
 
-@pytest.mark.parametrize(
-    "module", ["dataclasses", "inspect", "typing", "signal", "enum", "functools", "types"]
-)
+@pytest.mark.parametrize("module", HEAVY_MODULES)
 def test_worker_path_leaves_module_out_under_no_site(module):
-    # the modules a worker interpreter, started with -S, imports; a hybrid
-    # worker's fork team takes its signal numbers from _signal
+    # a worker's modules, started with -S, and the coordinator's backends;
+    # both take their signal numbers from _signal
     assert not loaded_after("import tspbench.worker, tspbench.backends", module, "-S")
+
+
+@pytest.mark.parametrize("module", HEAVY_MODULES)
+def test_hybrid_worker_path_leaves_module_out_under_no_site(module):
+    # the modules a hybrid worker imports: its fork team comes from team
+    assert not loaded_after("import tspbench.worker, tspbench.team", module, "-S")
+
+
+def test_worker_imports_only_the_kernel_and_the_protocol():
+    assert printed_after("import tspbench.worker", PACKAGE_MODULES, "-S") == str(WORKER_MODULES)
+
+
+def test_hybrid_task_adds_only_the_team():
+    # a team of two forks; the printed result is the 4-city optimum
+    statement = (
+        "from tspbench.protocol import Task\n"
+        "from tspbench.worker import _run_task\n"
+        "rows = ((0, 10, 15, 20), (10, 0, 35, 25), (15, 35, 0, 30), (20, 25, 30, 0))\n"
+        "result = _run_task(Task(4, rows, 0, 6, 2))"
+    )
+    printed = printed_after(statement, f"tuple(result), {PACKAGE_MODULES}", "-S")
+    assert printed == f"(80, (0, 1, 3, 2, 0), 6) {sorted([*WORKER_MODULES, 'tspbench.team'])}"
 
 
 def test_spawned_worker_finds_the_package_through_its_env_alone(tmp_path):
@@ -77,8 +114,36 @@ def test_spawned_worker_finds_the_package_through_its_env_alone(tmp_path):
         check=True, timeout=60,
     )
     assert out.stdout.split("\n") == [
-        "['-S', '-c', 'from tspbench.worker import main; main()'] True", ""
+        "['-S', '-c', 'import sys; sys.path[0] or sys.path.pop(0); "
+        "from tspbench.worker import main; main()'] True",
+        "",
     ]
+
+
+@pytest.mark.parametrize("safe_path", [None, "1"], ids=["cwd-on-path", "PYTHONSAFEPATH"])
+def test_spawned_worker_imports_nothing_from_the_cwd(tmp_path, safe_path):
+    # Under -c, sys.path starts with the cwd ('') unless PYTHONSAFEPATH is
+    # set; here it holds a stdlib module and a package that both raise.
+    (tmp_path / "reprlib.py").write_text("raise ImportError('reprlib from the cwd')\n")
+    (tmp_path / "tspbench").mkdir()
+    (tmp_path / "tspbench" / "__init__.py").write_text("raise ImportError('package from the cwd')\n")
+    drop = ("PYTHONPATH", "TSPBENCH_WORKER_BIN", "PYTHONSAFEPATH")
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    if safe_path:
+        env["PYTHONSAFEPATH"] = safe_path
+    code = (
+        f"import sys\nsys.path[:] = [{SRC_DIR!r}, *filter(None, sys.path)]\n"
+        "from tspbench.backends import parse_backend_spec, solve\n"
+        "from tspbench.core import solve_serial\n"
+        "from tspbench.instances import generate_instance\n"
+        "m = generate_instance(7, 0, symmetric=False)\n"
+        "print([solve(m, parse_backend_spec(s)) == solve_serial(m) for s in ('procs:2', 'hybrid:1x2')])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[True, True]\n", "")
 
 
 @pytest.mark.parametrize("module", ["json", "re", "enum", "runpy", "tspbench.cli"])

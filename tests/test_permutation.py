@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_record
+from conftest import check_record, next_permutation, rank
 from tspbench.errors import CapacityError, ValidationError
-from tspbench.permutation import (
-    MAX_FACTORIAL_N,
-    WorkRange,
-    factorial,
-    next_permutation,
-    partition,
-    rank,
-    unrank,
-)
+from tspbench.permutation import MAX_FACTORIAL_N, WorkRange, factorial, partition, unrank
 
 
 class TestFactorial:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import KERNEL_PATHS, all_ones, kernel_path
+from conftest import KERNEL_PATHS, all_ones, kernel_path, next_permutation
 from tspbench import core
 from tspbench.core import (
     EMPTY_RESULT,
@@ -31,7 +31,7 @@ from tspbench.core import (
 )
 from tspbench.errors import ValidationError
 from tspbench.instances import generate_instance
-from tspbench.permutation import WorkRange, factorial, next_permutation, unrank
+from tspbench.permutation import WorkRange, factorial, unrank
 
 
 def _scan(costs, perm: list[int], count: int):
