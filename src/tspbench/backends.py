@@ -10,13 +10,14 @@ process transports with one of two team transports:
   protocol.py), so the coordinator stays a pure master: it partitions,
   distributes, collects and reduces, but evaluates no permutations
   itself.
-* team: inline for a team of one, else forked members that inherit the
-  matrix copy-on-write (see team.py, the one module a hybrid worker
-  imports for its team).
+* team: inline, as a message-passing worker scans its span, or a fork
+  team whose member 0 is the process itself, scanning the first range,
+  and whose other members are forked and inherit the matrix
+  copy-on-write (see team.py, the one module a hybrid worker imports).
 
-Spawned or forked, every worker answers with one wire-protocol line on
-its own pipe, and one loop (team._run_workers) starts, reads and reaps
-them all, and kills and reaps the rest on failure.  shared_memory is
+Spawned, forked or inline, every worker answers with one wire-protocol
+line, and one loop (team._run_workers) starts, reads and reaps them
+all, and kills and reaps the rest on failure.  shared_memory is
 caller x team, message_passing is worker x inline and hybrid is worker
 x team; serial is the reference scan.  Every backend is bit-identical
 to serial: each worker scans a disjoint range and the reduction takes

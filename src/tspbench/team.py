@@ -1,11 +1,13 @@
 """The fork team, and the one loop that starts, reads and reaps every child.
 
 A team of ``threads`` members scans one interval: the caller's for
-shared_memory, a worker interpreter's span for hybrid.  Members are
-forked, so they inherit the matrix copy-on-write; CPython's interpreter
-lock keeps OS threads from running the scan in parallel, so a fork team
-is the working analog of threads sharing memory.  Spawned or forked,
-every child answers with one wire-protocol line on its own pipe, and
+shared_memory, a worker interpreter's span for hybrid.  The caller is
+member 0, as an OpenMP master is: it forks members 1 .. threads-1,
+which inherit the matrix copy-on-write, and scans the first range
+itself.  CPython's interpreter lock keeps OS threads from running the
+scan in parallel, so a fork team is the working analog of threads
+sharing memory.  Spawned or forked, every child answers with one
+wire-protocol line on its own pipe, member 0 builds the same line, and
 _run_workers starts, reads and reaps them all, and kills and reaps the
 rest on failure.  This module is apart from backends so that a hybrid
 worker imports only the code its team runs.
@@ -18,19 +20,11 @@ import sys
 import time
 from _signal import SIGKILL  # signal's enum wrappers cost a hybrid worker's start
 
+from . import core
 from .core import EMPTY_RESULT, CostMatrix, SolveResult, path_cost, reduce_results, solve_range
 from .errors import ExecutionError, ProtocolError, ValidationError
 from .permutation import WorkRange, partition
 from .protocol import decode_result, error_message, parse_message, result_message
-
-
-def _counted(idx: int, work: WorkRange, result: SolveResult) -> SolveResult:
-    """Check that worker ``idx`` scanned exactly its range."""
-    if result.evaluated != work.count:
-        raise ExecutionError(
-            f"worker {idx} evaluated {result.evaluated} permutations, expected {work.count}"
-        )
-    return result
 
 
 def _reply(idx: int, line: str, work: WorkRange, code: int, matrix: CostMatrix) -> SolveResult:
@@ -42,7 +36,11 @@ def _reply(idx: int, line: str, work: WorkRange, code: int, matrix: CostMatrix) 
     try:
         msg = parse_message(line)
         if msg["type"] == "result":
-            result = _counted(idx, work, decode_result(msg))
+            result = decode_result(msg)
+            if result.evaluated != work.count:
+                raise ExecutionError(
+                    f"worker {idx} evaluated {result.evaluated} permutations, expected {work.count}"
+                )
             if (result == EMPTY_RESULT) if work.count == 0 else (
                 path_cost(result.optimal_path[1:-1], matrix) == result.optimal_cost
             ):
@@ -58,6 +56,14 @@ def _reply(idx: int, line: str, work: WorkRange, code: int, matrix: CostMatrix) 
     raise ProtocolError(f"worker {idx} sent an unexpected {msg['type']!r} message")
 
 
+def _member_line(matrix: CostMatrix, work: WorkRange) -> str:
+    """The one reply line of a team member: its result, or its error."""
+    try:
+        return result_message(solve_range(matrix, work))
+    except Exception as exc:
+        return error_message(f"{type(exc).__name__}: {exc}")
+
+
 def _team_member(matrix: CostMatrix, work: WorkRange, fd: int):
     """Forked child: write one reply line to ``fd`` and leave by os._exit,
     never returning into the caller's stack nor flushing inherited
@@ -66,10 +72,7 @@ def _team_member(matrix: CostMatrix, work: WorkRange, fd: int):
     as soon as the worker dies, not when its team does."""
     try:
         os.dup2(fd, 1)
-        try:
-            line = result_message(solve_range(matrix, work))
-        except Exception as exc:
-            line = error_message(f"{type(exc).__name__}: {exc}")
+        line = _member_line(matrix, work)
         with open(fd, "w", encoding="utf-8") as pipe:
             pipe.write(line)
         os._exit(0)
@@ -89,20 +92,23 @@ def _reap(idx: int, pid: int) -> int:
     return os.waitstatus_to_exitcode(waited[1])
 
 
-def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, groups=False):
+def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, groups=False, inline=False):
     """Start a child per span by ``start(work, fd) -> pid``, ``fd`` being
     its reply pipe; then, in worker order, read each reply, reap that
-    child and check the reply.  The first failure aborts the solve, and
+    child and check the reply.  With ``inline`` the caller is worker 0:
+    spans[0] gets no child, and the caller scans it after the starts and
+    checks its reply line alike.  The first failure aborts the solve, and
     every exit path closes every pipe and kills the rest and reaps them.
     With ``groups`` each child leads a process group that its fork team
     joins, and every kill is of the group, so a team dies with its
     worker."""
-    if not (hasattr(os, "fork") and hasattr(os, "posix_spawnp")):
+    first = 1 if inline else 0
+    if spans[first:] and not (hasattr(os, "fork") and hasattr(os, "posix_spawnp")):
         raise ExecutionError(f"fork and posix_spawn unavailable on {sys.platform}")
     workers: list[tuple[int, int]] = []  # (pid, reply read end) of every started child
     reaped = 0
     try:
-        for idx, work in enumerate(spans):
+        for idx, work in enumerate(spans[first:], first):
             pipe: tuple[int, ...] = ()
             try:
                 pipe = os.pipe()
@@ -112,8 +118,8 @@ def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, groups=False
                     os.close(fd)
                 raise ExecutionError(f"failed to spawn worker {idx}: {exc}") from exc
             os.close(pipe[1])
-        results = []
-        for idx, ((pid, fd), work) in enumerate(zip(workers, spans)):
+        results = [_reply(0, _member_line(matrix, spans[0]), spans[0], 0, matrix)] if inline else []
+        for idx, ((pid, fd), work) in enumerate(zip(workers, spans[first:]), first):
             with open(fd, encoding="utf-8", errors="replace", closefd=False) as reply:
                 line = reply.readline()
             code = _reap(idx, pid)
@@ -142,11 +148,14 @@ def solve_interval_team(matrix: CostMatrix, work: WorkRange, threads: int) -> So
     """Scan [work.start, work.end) with a local team of ``threads``
     workers.  The interval is split by the same quotient/remainder rule
     as the global partitioner, so a hybrid worker's local split lines
-    up exactly with the flat global partition.  A team of one runs
-    inline; a larger team forks."""
+    up exactly with the flat global partition.  The caller is member 0:
+    it forks members 1 .. threads-1 and scans the first range inline.
+    When that range, the longest, is long enough for core's block, the
+    block is compiled before the forks, so no member compiles its own."""
     sub = [WorkRange(work.start + r.start, work.start + r.end) for r in partition(work.count, threads)]
-    if threads == 1:
-        return _counted(0, sub[0], solve_range(matrix, sub[0]))
+    if sub[0].count >= core._BLOCK_MIN:
+        core._block5()
     # os.fork() is 0 only in the child, which _team_member never lets return
-    team = _run_workers(matrix, sub, lambda w, fd: os.fork() or _team_member(matrix, w, fd))
+    team = _run_workers(matrix, sub, lambda w, fd: os.fork() or _team_member(matrix, w, fd),
+                        inline=True)
     return reduce_results(team)

@@ -3,8 +3,11 @@ import signal
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import all_ones
+from conftest import all_ones, kernel_path
+from tspbench import core
 from tspbench.backends import (
     BackendSpec,
     hybrid_ranges,
@@ -96,12 +99,14 @@ class TestForkTeamFailures:
         assert_no_child_left()
 
     def test_killed_member_is_reported_and_reaped(self, four_city_matrix, monkeypatch):
-        # a team of 2 runs the scan only in forked children, never here
+        # member 0 is this process, so only forked member 1 kills itself
         def killed(matrix, work):
-            os.kill(os.getpid(), signal.SIGKILL)
+            if work.start != 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return solve_range(matrix, work)
 
         monkeypatch.setattr("tspbench.team.solve_range", killed)
-        with pytest.raises(ExecutionError, match="worker 0 exited without a result"):
+        with pytest.raises(ExecutionError, match="worker 1 exited without a result"):
             solve_interval_team(four_city_matrix, WorkRange(0, 6), 2)
         assert_no_child_left()
 
@@ -118,6 +123,54 @@ class TestForkTeamFailures:
         assert time.monotonic() - started < 30
         assert_no_child_left()
 
+    def test_inline_member_failure_kills_forked_members(self, four_city_matrix, monkeypatch):
+        raised_in = []  # a forked member's appends stay in its own copy
+
+        def inline_fails_rest_hang(matrix, work):
+            if work.start == 0:
+                raised_in.append(os.getpid())
+                raise RuntimeError("boom")
+            time.sleep(60)
+
+        monkeypatch.setattr("tspbench.team.solve_range", inline_fails_rest_hang)
+        started = time.monotonic()
+        with pytest.raises(ExecutionError, match="^worker 0 failed: RuntimeError: boom$"):
+            solve_interval_team(four_city_matrix, WorkRange(0, 6), 3)
+        assert time.monotonic() - started < 30
+        assert raised_in == [os.getpid()]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_inline_member_error_is_cut_and_exits_2(
+        self, tmp_path, monkeypatch, capsys, four_city_matrix, threads
+    ):
+        def inline_fails(matrix, work):
+            if work.start == 0:
+                raise RuntimeError("x" * 300)
+            return solve_range(matrix, work)
+
+        monkeypatch.setattr("tspbench.team.solve_range", inline_fails)
+        instance = tmp_path / "m.txt"
+        instance.write_text(format_instance(four_city_matrix))
+        argv = ["solve", "--input", str(instance), "--backend", "shared_memory", "--threads", str(threads)]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: worker 0 failed: RuntimeError: {'x' * 186}... (314 characters)"]
+        assert_no_child_left()
+
+    def test_inline_member_interrupt_propagates_and_kills_members(self, four_city_matrix, monkeypatch):
+        def inline_interrupted_rest_hang(matrix, work):
+            if work.start == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr("tspbench.team.solve_range", inline_interrupted_rest_hang)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            solve_interval_team(four_city_matrix, WorkRange(0, 6), 2)
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
+
 
 @pytest.fixture(scope="module")
 def instance7():
@@ -127,6 +180,44 @@ def instance7():
 @pytest.fixture(scope="module")
 def serial7(instance7):
     return solve_serial(instance7)
+
+
+def counting_forks(monkeypatch, seen=lambda: None):
+    """Wrap os.fork; the list it returns gets ``seen()`` at each fork."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(seen())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+class TestForkTeamShape:
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_caller_is_member_0_and_forks_the_rest(self, instance7, serial7, monkeypatch, threads):
+        forks = counting_forks(monkeypatch)
+        assert solve_interval_team(instance7, WorkRange(0, 720), threads) == serial7
+        assert len(forks) == threads - 1
+
+    @given(data=st.data(), threads=st.integers(1, 4), n=st.integers(2, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_team_equals_the_range_scan(self, data, threads, n):
+        matrix = generate_instance(n, n, symmetric=False)
+        total = factorial(n - 1)
+        start = data.draw(st.integers(0, total), label="start")
+        work = WorkRange(start, data.draw(st.integers(start, total), label="end"))
+        assert solve_interval_team(matrix, work, threads) == solve_range(matrix, work)
+
+    @pytest.mark.parametrize("path,compiled", [("block", True), ("walk", False)])
+    def test_block_is_compiled_before_the_first_fork(self, instance7, monkeypatch, path, compiled):
+        monkeypatch.setattr(core, "_block", None)
+        forks = counting_forks(monkeypatch, lambda: core._block is not None)
+        with kernel_path(path):
+            solve_interval_team(instance7, WorkRange(0, 720), 2)
+        assert forks == [compiled]
+        assert (core._block is not None) == compiled
 
 
 class TestSharedMemory:
@@ -341,10 +432,10 @@ def live_processes_running(path):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc to find grandchildren")
 def test_failed_hybrid_solve_leaves_no_team_member_running(tmp_path, monkeypatch):
-    # Worker 0 fails after 1 s.  Worker 1 runs the real worker, whose two
-    # forked members would scan for far longer if the failure did not
-    # kill them along with worker 1; they are not our children, so only
-    # /proc can see them.
+    # Worker 0 fails after 1 s.  Worker 1 runs the real worker, which with
+    # its forked member would scan for far longer if the failure did not
+    # kill the member along with worker 1; it is not our child, so only
+    # /proc can see it.
     install_fake_worker(tmp_path, monkeypatch, (
         "import io, time\n"
         "task = sys.stdin.readline()\n"
@@ -369,9 +460,9 @@ def test_failed_hybrid_solve_leaves_no_team_member_running(tmp_path, monkeypatch
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc to find grandchildren")
 def test_killed_hybrid_worker_is_reported_at_once_and_its_team_killed(tmp_path, monkeypatch):
-    # The real worker, SIGKILLed 1 s into a scan whose two forked members
-    # would run for tens of seconds.  A member must hold no copy of the
-    # reply pipe, or the coordinator would wait for the team to finish.
+    # The real worker, SIGKILLed 1 s into a scan that it and its forked
+    # member would run for tens of seconds.  The member must hold no copy
+    # of the reply pipe, or the coordinator would wait for it to finish.
     install_fake_worker(tmp_path, monkeypatch, (
         "import os, signal, threading, time\n"
         "def die():\n"
@@ -402,6 +493,13 @@ class TestHybrid:
     @pytest.mark.parametrize("processes,threads", [(2, 2), (2, 3), (4, 2), (1, 4), (3, 1)])
     def test_matches_serial(self, instance7, serial7, processes, threads):
         assert solve_hybrid(instance7, processes, threads) == serial7
+
+    @given(n=st.integers(4, 8), processes=st.integers(1, 2), threads=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_matches_serial_on_drawn_instances(self, n, processes, threads, seed):
+        matrix = generate_instance(n, seed, symmetric=False)
+        assert solve_hybrid(matrix, processes, threads) == solve_serial(matrix)
 
     def test_four_city_two_by_three(self, four_city_matrix):
         # 6 ranges of exactly one permutation each
