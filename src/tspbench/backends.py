@@ -114,8 +114,7 @@ def solve(matrix: CostMatrix, spec: BackendSpec) -> SolveResult:
     spans = [WorkRange(group[0].start, group[-1].end) for group in groups]
     if spec.kind == "shared_memory":
         return solve_interval_team(matrix, spans[0], threads)
-    workers = _run_workers(matrix, spans, lambda w, fd: _spawn_worker(matrix, threads, w, fd),
-                           groups=True)
+    workers = _run_workers(matrix, spans, lambda w, fd: _spawn_worker(matrix, threads, w, fd))
     return reduce_results(workers)
 
 

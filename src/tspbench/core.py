@@ -194,6 +194,13 @@ def _block5():
     return _block
 
 
+def block_for(count: int):
+    """The block, compiled now, if a scan of ``count`` leaves uses it;
+    else None.  A fork team asks before it forks, so that its members
+    inherit the block instead of each compiling one."""
+    return _block5() if count >= _BLOCK_MIN else None
+
+
 def _walk(costs, n: int, start: int, count: int):
     """Best tour among the permutations of 1 .. n-1 with lexicographic
     index in [start, start + count), as (best_cost, closed_path).
@@ -254,11 +261,11 @@ def _walk(costs, n: int, start: int, count: int):
         best_cost = best
         visited += 6
 
-    if count >= _BLOCK_MIN:
+    if (block := block_for(count)) is not None:
         # each whole subtree of five labels is one block call; rebinding
         # subtree leaves the walk below the threshold as it was, where a
         # length test in the walk itself slowed n = 8 solves by ~6%
-        block, walk_subtree = _block5(), subtree
+        walk_subtree = subtree
         # t3[y][z][w]: the last three legs y -> z -> w -> 0 of a tour
         t3 = [[[cost + tail for tail in tails[z]] for z, cost in enumerate(row)] for row in costs]
 

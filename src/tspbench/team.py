@@ -20,8 +20,9 @@ import sys
 import time
 from _signal import SIGKILL  # signal's enum wrappers cost a hybrid worker's start
 
-from . import core
-from .core import EMPTY_RESULT, CostMatrix, SolveResult, path_cost, reduce_results, solve_range
+from .core import (
+    EMPTY_RESULT, CostMatrix, SolveResult, block_for, path_cost, reduce_results, solve_range,
+)
 from .errors import ExecutionError, ProtocolError, ValidationError
 from .permutation import WorkRange, partition
 from .protocol import decode_result, error_message, parse_message, result_message
@@ -92,17 +93,17 @@ def _reap(idx: int, pid: int) -> int:
     return os.waitstatus_to_exitcode(waited[1])
 
 
-def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, groups=False, inline=False):
+def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, team=False):
     """Start a child per span by ``start(work, fd) -> pid``, ``fd`` being
     its reply pipe; then, in worker order, read each reply, reap that
-    child and check the reply.  With ``inline`` the caller is worker 0:
-    spans[0] gets no child, and the caller scans it after the starts and
-    checks its reply line alike.  The first failure aborts the solve, and
+    child and check the reply.  The first failure aborts the solve, and
     every exit path closes every pipe and kills the rest and reaps them.
-    With ``groups`` each child leads a process group that its fork team
-    joins, and every kill is of the group, so a team dies with its
-    worker."""
-    first = 1 if inline else 0
+    In a fork ``team`` the caller is worker 0: spans[0] gets no child,
+    and the caller scans it after the starts and checks its reply line
+    alike.  Otherwise every child is a spawned worker that leads a
+    process group its fork team joins, and every kill is of the group,
+    so a team dies with its worker."""
+    first = 1 if team else 0
     if spans[first:] and not (hasattr(os, "fork") and hasattr(os, "posix_spawnp")):
         raise ExecutionError(f"fork and posix_spawn unavailable on {sys.platform}")
     workers: list[tuple[int, int]] = []  # (pid, reply read end) of every started child
@@ -118,13 +119,13 @@ def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, groups=False
                     os.close(fd)
                 raise ExecutionError(f"failed to spawn worker {idx}: {exc}") from exc
             os.close(pipe[1])
-        results = [_reply(0, _member_line(matrix, spans[0]), spans[0], 0, matrix)] if inline else []
+        results = [_reply(0, _member_line(matrix, spans[0]), spans[0], 0, matrix)] if team else []
         for idx, ((pid, fd), work) in enumerate(zip(workers, spans[first:]), first):
             with open(fd, encoding="utf-8", errors="replace", closefd=False) as reply:
                 line = reply.readline()
             code = _reap(idx, pid)
             reaped += 1
-            if groups and not line:
+            if not team and not line:
                 # Its team may run on.  Killed after the reap, which keeps
                 # the exit code real: the reaped pid stays the team's group
                 # id while a member lives, so the signal reaches no stranger.
@@ -140,7 +141,7 @@ def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, groups=False
         for idx, (pid, fd) in enumerate(workers):
             os.close(fd)
             if idx >= reaped:  # not reaped, so the pid is still ours to kill
-                (os.killpg if groups else os.kill)(pid, SIGKILL)
+                (os.kill if team else os.killpg)(pid, SIGKILL)
                 os.waitpid(pid, 0)
 
 
@@ -153,9 +154,8 @@ def solve_interval_team(matrix: CostMatrix, work: WorkRange, threads: int) -> So
     When that range, the longest, is long enough for core's block, the
     block is compiled before the forks, so no member compiles its own."""
     sub = [WorkRange(work.start + r.start, work.start + r.end) for r in partition(work.count, threads)]
-    if sub[0].count >= core._BLOCK_MIN:
-        core._block5()
+    block_for(sub[0].count)
     # os.fork() is 0 only in the child, which _team_member never lets return
-    team = _run_workers(matrix, sub, lambda w, fd: os.fork() or _team_member(matrix, w, fd),
-                        inline=True)
-    return reduce_results(team)
+    return reduce_results(_run_workers(
+        matrix, sub, lambda w, fd: os.fork() or _team_member(matrix, w, fd), team=True
+    ))
