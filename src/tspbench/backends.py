@@ -6,10 +6,11 @@ process transports with one of two team transports:
 
 * process: on the caller, or in a worker interpreter that the package
   starts by posix_spawn (see worker_command and worker.py).  A worker
-  gets everything, the matrix included, over line-delimited JSON (see
-  protocol.py), so the coordinator stays a pure master: it partitions,
-  distributes, collects and reduces, but evaluates no permutations
-  itself.
+  gets the code of the package modules it runs on a pipe of its own,
+  compiled once per coordinator, and everything else, the matrix
+  included, over line-delimited JSON (see protocol.py), so the
+  coordinator stays a pure master: it partitions, distributes, collects
+  and reduces, but evaluates no permutations itself.
 * team: inline, as a message-passing worker scans its span, or a fork
   team whose member 0 is the process itself, scanning the first range,
   and whose other members are forked and inherit the matrix
@@ -27,6 +28,7 @@ commutative, so the combination order never matters.
 
 from __future__ import annotations
 
+import marshal
 import os
 import sys
 from _signal import SIGPIPE  # not signal, whose enum wrappers would cost every import
@@ -134,6 +136,13 @@ def hybrid_ranges(total: int, processes: int, threads: int) -> list[list[WorkRan
 # --- worker start ----------------------------------------------------------
 
 
+#: The package modules a worker imports; a hybrid worker's team adds team.
+WORKER_MODULES = ("tspbench", "tspbench.core", "tspbench.errors", "tspbench.permutation",
+                  "tspbench.protocol", "tspbench.worker")
+CODE_FD = 3  # the fd on which a worker of the package's own command reads its code
+_shipped: dict[bool, bytes] = {}  # the code, marshalled, by whether a team runs it
+
+
 def worker_command() -> list[str]:
     override = os.environ.get(WORKER_BIN_ENV_VAR)
     if override:
@@ -143,8 +152,24 @@ def worker_command() -> list[str]:
     # sys.path, as '', which the code drops before it imports anything,
     # so no module in the caller's cwd shadows the package or the stdlib
     # (PYTHONSAFEPATH leaves the entry out, and nothing is dropped).
-    return [sys.executable, "-S", "-c",
-            "import sys; sys.path[0] or sys.path.pop(0); from tspbench.worker import main; main()"]
+    # Given an fd as its one argument, it imports the package from the
+    # code it reads there, by a finder that goes first and imports nothing
+    # (its spec_from_file_location is importlib.util's, loaded frozen).
+    return [sys.executable, "-S", "-c", (
+        "import sys; sys.path[0] or sys.path.pop(0)\n"
+        "if sys.argv[1:]:\n"
+        "    import marshal\n"
+        "    from _frozen_importlib_external import spec_from_file_location\n"
+        "    with open(int(sys.argv[1]), 'rb') as pipe: code = marshal.loads(pipe.read())\n"
+        "    class Shipped:\n"
+        "        find_spec = lambda name, *_: spec_from_file_location(name, code[name].co_filename,"
+        " loader=Shipped, submodule_search_locations=None if '.' in name else [])"
+        " if name in code else None\n"
+        "        create_module = lambda _: None\n"
+        "        exec_module = lambda module: exec(code[module.__name__], module.__dict__)\n"
+        "    sys.meta_path.insert(0, Shipped)\n"
+        "from tspbench.worker import main; main()"
+    )]
 
 
 def _worker_env() -> dict:
@@ -157,24 +182,55 @@ def _worker_env() -> dict:
     return env
 
 
+def _worker_code(team: bool) -> bytes:
+    """The code of each module a worker imports (team's for a fork
+    ``team`` only), marshalled by name and built once per process.  Each
+    module's own loader reads it from a .pyc where one exists, or
+    compiles it in memory."""
+    if team not in _shipped:
+        from importlib.util import find_spec  # site has loaded it; -S pays at the first spawn
+
+        names = WORKER_MODULES + ("tspbench.team",) * team
+        _shipped[team] = marshal.dumps({name: find_spec(name).loader.get_code(name) for name in names})
+    return _shipped[team]
+
+
 def _spawn_worker(matrix: CostMatrix, threads: int, work: WorkRange, fd: int) -> int:
     """Start a worker interpreter that answers on ``fd``, as the leader of
-    a new process group that its fork team joins, and send it its span,
-    the team size ``threads`` and the shutdown in one write."""
+    a new process group that its fork team joins.  Send it the code it
+    runs on CODE_FD (unless TSPBENCH_WORKER_BIN replaces it), then its
+    span, the team size ``threads`` and the shutdown in one write."""
     cmd = worker_command()
-    task_in, task_out = os.pipe()
-    stdio = [(os.POSIX_SPAWN_DUP2, task_in, 0), (os.POSIX_SPAWN_DUP2, fd, 1)]
+    ship = not os.environ.get(WORKER_BIN_ENV_VAR)
+    pipes: list[tuple[int, int]] = []  # (read, write) of the task pipe, then the code pipe's
     try:
-        with open(task_out, "w", encoding="utf-8") as pipe:
-            try:
-                pid = os.posix_spawnp(cmd[0], cmd, _worker_env(), file_actions=stdio,
-                                      setpgroup=0, setsigdef=(SIGPIPE,))
-            finally:
-                os.close(task_in)
-            pipe.write(task_message(matrix.costs, work, threads) + shutdown_message())
+        for _ in range(1 + ship):
+            pipes.append(os.pipe())
+        # CODE_FD is dup'd to last: ``fd`` or the task pipe's end may be it
+        dups = [(pipes[0][0], 0), (fd, 1), *((read, CODE_FD) for read, _ in pipes[1:])]
+        pid = os.posix_spawnp(cmd[0], cmd + [str(CODE_FD)] * ship, _worker_env(),
+                              file_actions=[(os.POSIX_SPAWN_DUP2, *dup) for dup in dups],
+                              setpgroup=0, setsigdef=(SIGPIPE,))
+    except BaseException:
+        for _, write in pipes:
+            os.close(write)
+        raise
+    finally:
+        for read, _ in pipes:
+            os.close(read)
+    if ship:  # the code first, compiled at the first spawn while that worker starts
+        _send(pipes[1][1], _worker_code(threads > 1))
+    _send(pipes[0][1], (task_message(matrix.costs, work, threads) + shutdown_message()).encode())
+    return pid
+
+
+def _send(fd: int, data: bytes) -> None:
+    """Write ``data`` to the pipe ``fd`` and close it."""
+    try:
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
     except BrokenPipeError:
         pass  # the worker exited early; its empty reply reports the exit code
-    return pid
 
 
 # --- per-backend shorthands ------------------------------------------------

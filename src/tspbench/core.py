@@ -336,22 +336,16 @@ def solve_range(matrix: CostMatrix, work: WorkRange) -> SolveResult:
     return SolveResult(abs(best_cost), best_path, work.count)
 
 
-def better_result(a: SolveResult, b: SolveResult) -> SolveResult:
-    """The smaller of two results by (cost, path).  Associative,
-    commutative, total, and with EMPTY_RESULT as identity, so
-    reductions may combine partial results in any order."""
-    if (b.optimal_cost, b.optimal_path) < (a.optimal_cost, a.optimal_path):
-        return b
-    return a
-
-
 def reduce_results(results: Iterable[SolveResult]) -> SolveResult:
     """Combine per-worker results: minimum by (cost, path), with
     evaluation counts summed so the reduced result reports the full
-    amount of work performed."""
+    amount of work performed.  The minimum is associative, commutative
+    and total, with EMPTY_RESULT as identity, so partial results may be
+    combined in any order."""
     best = EMPTY_RESULT
     evaluated = 0
     for result in results:
         evaluated += result.evaluated
-        best = better_result(best, result)
+        if (result.optimal_cost, result.optimal_path) < (best.optimal_cost, best.optimal_path):
+            best = result
     return SolveResult(best.optimal_cost, best.optimal_path, evaluated)

@@ -14,11 +14,8 @@ from collections.abc import Sequence
 
 from .errors import CapacityError, ValidationError
 
-#: Largest n for which factorial(n) still fits in 128 bits.
-MAX_FACTORIAL_N = 34
-
-_FACTORIALS = [1]
-for _i in range(1, MAX_FACTORIAL_N + 1):
+_FACTORIALS = [1]  # 0! .. 34!, the largest that fits in 128 bits
+for _i in range(1, 35):
     _FACTORIALS.append(_FACTORIALS[-1] * _i)
 del _i
 
@@ -31,10 +28,10 @@ def factorial(n: int) -> int:
     """
     if n < 0:
         raise ValidationError(f"factorial is undefined for negative n, got {n}")
-    if n > MAX_FACTORIAL_N:
+    if n >= len(_FACTORIALS):
         raise CapacityError(
             f"factorial({n}) exceeds the 128-bit index range "
-            f"(largest supported n is {MAX_FACTORIAL_N})"
+            f"(largest supported n is {len(_FACTORIALS) - 1})"
         )
     return _FACTORIALS[n]
 

@@ -2,15 +2,18 @@
 
 The coordinator spawns every worker interpreter by
 backends.worker_command(), ``python -S -c`` with code that drops the
-cwd's entry from sys.path and calls main(): it runs no ``site``,
-``.pth`` file, ``sitecustomize``, ``runpy`` or CLI, imports nothing
-from the caller's cwd, and finds the package through the PYTHONPATH
-that backends._worker_env sets.  It imports the kernel's package
-modules (core, permutation, errors), protocol and this one; a hybrid
-worker also imports team for its fork team, and no worker imports
-backends.  None imports dataclasses, typing or signal, and none imports
-json, re or enum unless a line is rejected and json.loads words the
-error.
+cwd's entry from sys.path, reads the code of the package modules it
+runs from the pipe on fd 3 that its argument names, puts a finder that
+runs that code first on sys.meta_path, and calls main(): it runs no
+``site``, ``.pth`` file, ``sitecustomize``, ``runpy`` or CLI, compiles
+no package module and imports nothing from the caller's cwd.  Started
+without a code pipe, as by TSPBENCH_WORKER_BIN, it finds the package
+through the PYTHONPATH that backends._worker_env sets.  It imports the
+kernel's package modules (core, permutation, errors), protocol and this
+one; a hybrid worker also imports team for its fork team, and no worker
+imports backends.  None imports dataclasses, typing or signal, and none
+imports json, re or enum unless a line is rejected and json.loads words
+the error.
 
 Tasks arrive one per line and each produces exactly one result line.
 A shutdown message ends the process with exit code 0.  Any protocol
@@ -35,8 +38,8 @@ def _run_task(task: Task):
     work = WorkRange(task.start, task.end)
     if task.threads == 1:
         return solve_range(matrix, work)
-    # Local fork team, imported lazily: without a bytecode cache a worker
-    # compiles every module it imports, and a team of one needs none.
+    # Local fork team, imported lazily: a team of one needs none, and a
+    # worker started without its code compiles every module it imports.
     from .team import solve_interval_team
 
     return solve_interval_team(matrix, work, task.threads)

@@ -70,6 +70,16 @@ def kernel_path(path: str):
     return mock.patch.object(core, "_BLOCK_MIN", KERNEL_PATHS[path])
 
 
+def better_result(a, b):
+    """The smaller of two results by (cost, path), as
+    core.reduce_results keeps it.  Associative, commutative, total, and
+    with EMPTY_RESULT as identity, so reductions may combine partial
+    results in any order."""
+    if (b.optimal_cost, b.optimal_path) < (a.optimal_cost, a.optimal_path):
+        return b
+    return a
+
+
 def all_ones(n: int) -> CostMatrix:
     return CostMatrix(tuple(tuple(0 if i == j else 1 for j in range(n)) for i in range(n)))
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_ones, kernel_path
-from tspbench import core
+from tspbench import backends, core
 from tspbench.backends import (
     BackendSpec,
     hybrid_ranges,
@@ -334,6 +334,25 @@ class TestWorkerInterpreterFailures:
         for _ in range(10):
             with pytest.raises(ExecutionError, match=r"without a result \(exit code 3\)"):
                 solve_message_passing(four_city_matrix, 2)
+        assert_no_child_left()
+
+    def test_worker_that_exits_before_reading_its_code_is_reported(self, monkeypatch, four_city_matrix):
+        # The real command, stopped by PYTHONMALLOC before it runs any code.
+        # The code is written only once the worker has exited (unreaped), so
+        # that write, and the task's, meet a pipe that no one can read.
+        monkeypatch.delenv("TSPBENCH_WORKER_BIN", raising=False)
+        monkeypatch.setenv("PYTHONMALLOC", "bogus")
+        pids, spawn, build = [], os.posix_spawnp, backends._worker_code
+        monkeypatch.setattr(os, "posix_spawnp", lambda *a, **kw: pids.append(spawn(*a, **kw)) or pids[-1])
+
+        def built_after_the_exit(team):
+            os.waitid(os.P_PID, pids[-1], os.WEXITED | os.WNOWAIT)
+            return build(team)
+
+        monkeypatch.setattr(backends, "_worker_code", built_after_the_exit)
+        with pytest.raises(ExecutionError, match=r"worker 0 exited without a result \(exit code 1\)"):
+            solve_message_passing(four_city_matrix, 2)
+        assert len(pids) == 2
         assert_no_child_left()
 
     def test_nonzero_exit_after_result_names_the_worker(self, tmp_path, monkeypatch, four_city_matrix):

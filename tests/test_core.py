@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FOUR_CITY_ROWS, all_ones, brute_force_best, check_record, tour_cost
+from conftest import (
+    FOUR_CITY_ROWS, all_ones, better_result, brute_force_best, check_record, tour_cost,
+)
 from tspbench.backends import KINDS, BackendSpec
 from tspbench.bench import BenchPlan
 from tspbench.core import (
@@ -13,7 +15,6 @@ from tspbench.core import (
     INFINITE_COST,
     CostMatrix,
     SolveResult,
-    better_result,
     path_cost,
     reduce_results,
     solve_range,

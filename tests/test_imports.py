@@ -1,13 +1,20 @@
 """Import-cost guards: importing the library must not pull in modules
 that only some paths need."""
 
+import fcntl
+import importlib.util
+import marshal
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from tspbench.backends import worker_command
+from tspbench import backends
+from tspbench.backends import parse_backend_spec, solve, worker_command
+from tspbench.core import solve_serial
+from tspbench.instances import generate_instance
 from tspbench.protocol import parse_message
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -97,6 +104,129 @@ def test_hybrid_task_adds_only_the_team():
     assert printed == f"(80, (0, 1, 3, 2, 0), 6) {sorted([*WORKER_MODULES, 'tspbench.team'])}"
 
 
+#: The code every worker interpreter runs: it drops the cwd's entry from
+#: sys.path and, given a code pipe's fd, imports the package from it.
+BOOTSTRAP = """\
+import sys; sys.path[0] or sys.path.pop(0)
+if sys.argv[1:]:
+    import marshal
+    from _frozen_importlib_external import spec_from_file_location
+    with open(int(sys.argv[1]), 'rb') as pipe: code = marshal.loads(pipe.read())
+    class Shipped:
+        find_spec = lambda name, *_: spec_from_file_location(name, code[name].co_filename, \
+loader=Shipped, submodule_search_locations=None if '.' in name else []) if name in code else None
+        create_module = lambda _: None
+        exec_module = lambda module: exec(code[module.__name__], module.__dict__)
+    sys.meta_path.insert(0, Shipped)
+from tspbench.worker import main; main()"""
+
+#: A hybrid task, a team of two forks, whose result is the 4-city optimum.
+HYBRID_TASK = (
+    "from tspbench.protocol import Task\n"
+    "from tspbench.worker import _run_task\n"
+    "rows = ((0, 10, 15, 20), (10, 0, 35, 25), (15, 35, 0, 30), (20, 25, 30, 0))\n"
+    "result = _run_task(Task(4, rows, 0, 6, 2))"
+)
+
+
+def printed_by_shipped_worker(monkeypatch, tmp_path, team, statement, expression):
+    """What ``print(expression)`` writes after ``statement`` runs in a
+    worker interpreter that read the shipped code for a fork ``team`` or
+    none: the real command, with ``statement`` in place of its entry into
+    worker.main, and a PYTHONPATH that leads to no package."""
+    monkeypatch.delenv("TSPBENCH_WORKER_BIN", raising=False)
+    *cmd, boot = worker_command()
+    boot = boot.rpartition("\n")[0]  # all but the line that enters worker.main
+    read, write = os.pipe()
+    try:
+        with open(write, "wb") as pipe:  # no wait: the code fits in the pipe
+            pipe.write(backends._worker_code(team))
+        out = subprocess.run(
+            [*cmd, f"{boot}\n{statement}\nprint({expression})", str(read)], pass_fds=(read,),
+            env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+    finally:
+        os.close(read)
+    return out.stdout.strip()
+
+
+#: An expression for the loader of each package module in sys.modules,
+#: by name, and whether its __file__ is the module's source under src/.
+PACKAGE_LOADERS = (
+    "sorted((m, sys.modules[m].__loader__.__name__, sys.modules[m].__file__ == "
+    f"{SRC_DIR!r} + '/' + m.replace('.', '/') + ('/__init__' if m == 'tspbench' else '') + '.py')"
+    " for m in sys.modules if m.partition('.')[0] == 'tspbench')"
+)
+
+
+@pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
+def test_shipped_worker_imports_the_same_modules_from_the_shipped_code(monkeypatch, tmp_path, team):
+    # the package modules that the two tests above pin, each run from the
+    # code pipe by the bootstrap's finder and known by its source path
+    statement = HYBRID_TASK if team else "import tspbench.worker"
+    modules = sorted([*WORKER_MODULES, *["tspbench.team"] * team])
+    expression = f"{'tuple(result), ' * team}{PACKAGE_LOADERS}"
+    printed = printed_by_shipped_worker(monkeypatch, tmp_path, team, statement, expression)
+    loaders = str([(m, "Shipped", True) for m in modules])
+    assert printed == (f"(80, (0, 1, 3, 2, 0), 6) {loaders}" if team else loaders)
+
+
+@pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
+def test_shipped_code_is_the_loaders_own(team):
+    shipped = marshal.loads(backends._worker_code(team))
+    assert sorted(shipped) == sorted([*WORKER_MODULES, *["tspbench.team"] * team])
+    for name, code in shipped.items():
+        spec = importlib.util.find_spec(name)
+        assert code == spec.loader.get_code(name) and code.co_filename == spec.origin
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"), reason="needs the pipe capacity")
+@pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
+def test_shipped_code_fits_in_the_pipe(team):
+    # A larger write would wait for the worker to read: spawns would run
+    # one after another, and a worker stuck before its read would hang
+    # the coordinator.
+    read, write = os.pipe()
+    try:
+        capacity = fcntl.fcntl(read, fcntl.F_GETPIPE_SZ)
+    finally:
+        os.close(read)
+        os.close(write)
+    assert len(backends._worker_code(team)) < capacity
+
+
+def test_shipped_workers_solve_with_no_package_on_their_path(monkeypatch, tmp_path):
+    # the workers' PYTHONPATH leads to an empty directory, so they can run
+    # only the code the coordinator sends
+    monkeypatch.delenv("TSPBENCH_WORKER_BIN", raising=False)
+    monkeypatch.setattr(backends, "_worker_env", lambda: dict(os.environ, PYTHONPATH=str(tmp_path)))
+    m = generate_instance(8, 0, symmetric=False)
+    for token in ("procs:2", "hybrid:1x2"):
+        assert solve(m, parse_backend_spec(token)) == solve_serial(m)
+
+
+@pytest.mark.parametrize("no_bytecode", ["1", None], ids=["PYTHONDONTWRITEBYTECODE", "default"])
+def test_solves_write_bytecode_only_where_allowed(tmp_path, no_bytecode):
+    # a copy of the package, solved on by a coordinator and its workers
+    shutil.copytree(os.path.join(SRC_DIR, "tspbench"), tmp_path / "tspbench")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONDONTWRITEBYTECODE", "TSPBENCH_WORKER_BIN")}
+    if no_bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = no_bytecode
+    code = (
+        "from tspbench.backends import parse_backend_spec, solve\n"
+        "from tspbench.instances import generate_instance\n"
+        "m = generate_instance(7, 0, symmetric=False)\n"
+        "print(solve(m, parse_backend_spec('procs:2')) == solve(m, parse_backend_spec('hybrid:1x2')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], cwd=tmp_path, env=dict(env, PYTHONPATH=str(tmp_path)),
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout == "True\n"
+    assert (tmp_path / "tspbench" / "__pycache__").exists() is (no_bytecode is None)
+
+
 def test_spawned_worker_finds_the_package_through_its_env_alone(tmp_path):
     # The worker runs under -S from a cwd without the package, so only
     # the PYTHONPATH that _worker_env sets can lead it there.
@@ -113,11 +243,7 @@ def test_spawned_worker_finds_the_package_through_its_env_alone(tmp_path):
         [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert out.stdout.split("\n") == [
-        "['-S', '-c', 'import sys; sys.path[0] or sys.path.pop(0); "
-        "from tspbench.worker import main; main()'] True",
-        "",
-    ]
+    assert out.stdout.split("\n") == [f"{['-S', '-c', BOOTSTRAP]} True", ""]
 
 
 @pytest.mark.parametrize("safe_path", [None, "1"], ids=["cwd-on-path", "PYTHONSAFEPATH"])

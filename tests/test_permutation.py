@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import check_record, next_permutation, rank
 from tspbench.errors import CapacityError, ValidationError
-from tspbench.permutation import MAX_FACTORIAL_N, WorkRange, factorial, partition, unrank
+from tspbench.core import MAX_CITIES as MAX_FACTORIAL_N
+from tspbench.permutation import WorkRange, factorial, partition, unrank
 
 
 class TestFactorial:
