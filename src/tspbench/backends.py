@@ -6,9 +6,9 @@ process transports with one of two team transports:
 
 * process: on the caller, or in a worker interpreter that the package
   starts by posix_spawn (see worker_command and worker.py).  A worker
-  gets the code of the package modules it runs on a pipe of its own,
-  compiled once per coordinator, and everything else, the matrix
-  included, over line-delimited JSON (see protocol.py), so the
+  gets the code of the package modules it runs and core's block on a
+  pipe of its own, compiled once per coordinator, and everything else,
+  the matrix included, over line-delimited JSON (see protocol.py), so the
   coordinator stays a pure master: it partitions, distributes, collects
   and reduces, but evaluates no permutations itself.
 * team: inline, as a message-passing worker scans its span, or a fork
@@ -34,7 +34,7 @@ import sys
 from _signal import SIGPIPE  # not signal, whose enum wrappers would cost every import
 from collections import namedtuple
 
-from .core import CostMatrix, SolveResult, reduce_results, solve_serial
+from .core import CostMatrix, SolveResult, block_code, reduce_results, solve_serial
 from .errors import ValidationError
 from .permutation import WorkRange, factorial, partition
 from .protocol import shutdown_message, task_message
@@ -139,8 +139,12 @@ def hybrid_ranges(total: int, processes: int, threads: int) -> list[list[WorkRan
 #: The package modules a worker imports; a hybrid worker's team adds team.
 WORKER_MODULES = ("tspbench", "tspbench.core", "tspbench.errors", "tspbench.permutation",
                   "tspbench.protocol", "tspbench.worker")
+#: The name under which the code pipe carries core's block, as a module
+#: that defines it; worker.main imports it.
+BLOCK_MODULE = "tspbench.block5"
 CODE_FD = 3  # the fd on which a worker of the package's own command reads its code
-_shipped: dict[bool, bytes] = {}  # the code, marshalled, by whether a team runs it
+_code: dict = {}  # each module's code object, by name, built once per process
+_shipped: dict[bool, bytes] = {}  # a worker's code, marshalled, by whether a team runs it
 
 
 def worker_command() -> list[str]:
@@ -184,14 +188,19 @@ def _worker_env() -> dict:
 
 def _worker_code(team: bool) -> bytes:
     """The code of each module a worker imports (team's for a fork
-    ``team`` only), marshalled by name and built once per process.  Each
-    module's own loader reads it from a .pyc where one exists, or
-    compiles it in memory."""
+    ``team`` only) and core's block, marshalled by name.  Each module's
+    code is built once per process, whichever kind of worker needs it
+    first: its own loader reads it from a .pyc where one exists, or
+    compiles it in memory.  The coordinator holds the block from here on."""
     if team not in _shipped:
         from importlib.util import find_spec  # site has loaded it; -S pays at the first spawn
 
         names = WORKER_MODULES + ("tspbench.team",) * team
-        _shipped[team] = marshal.dumps({name: find_spec(name).loader.get_code(name) for name in names})
+        for name in names:
+            if name not in _code:
+                _code[name] = find_spec(name).loader.get_code(name)
+        shipped = {name: _code[name] for name in names} | {BLOCK_MODULE: block_code()}
+        _shipped[team] = marshal.dumps(shipped)
     return _shipped[team]
 
 
@@ -219,9 +228,24 @@ def _spawn_worker(matrix: CostMatrix, threads: int, work: WorkRange, fd: int) ->
         for read, _ in pipes:
             os.close(read)
     if ship:  # the code first, compiled at the first spawn while that worker starts
-        _send(pipes[1][1], _worker_code(threads > 1))
+        code = _worker_code(threads > 1)
+        _make_room(pipes[1][1], len(code))
+        _send(pipes[1][1], code)
     _send(pipes[0][1], (task_message(matrix.costs, work, threads) + shutdown_message()).encode())
     return pid
+
+
+def _make_room(fd: int, size: int) -> None:
+    """Let the pipe ``fd`` hold ``size`` bytes, so that writing them waits
+    on no reader, where Linux's F_SETPIPE_SZ allows it.  Elsewhere the
+    write waits until the worker reads its code, which it does first."""
+    try:
+        from fcntl import F_GETPIPE_SZ, F_SETPIPE_SZ, fcntl
+
+        if fcntl(fd, F_GETPIPE_SZ) < size:
+            fcntl(fd, F_SETPIPE_SZ, size)
+    except (ImportError, OSError):
+        pass
 
 
 def _send(fd: int, data: bytes) -> None:

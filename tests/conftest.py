@@ -66,8 +66,10 @@ KERNEL_PATHS = {"walk": math.inf, "block": 0}
 
 
 def kernel_path(path: str):
-    """Context in which every scan takes ``path`` of KERNEL_PATHS."""
-    return mock.patch.object(core, "_BLOCK_MIN", KERNEL_PATHS[path])
+    """Context in which every scan takes ``path`` of KERNEL_PATHS, whether
+    or not the process holds the block: both thresholds are patched."""
+    threshold = KERNEL_PATHS[path]
+    return mock.patch.multiple(core, _BLOCK_MIN=threshold, _BLOCK_WARM=threshold)
 
 
 def better_result(a, b):

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import signal
 import time
@@ -210,13 +211,27 @@ class TestForkTeamShape:
         work = WorkRange(start, data.draw(st.integers(start, total), label="end"))
         assert solve_interval_team(matrix, work, threads) == solve_range(matrix, work)
 
-    @pytest.mark.parametrize("path,compiled", [("block", True), ("walk", False)])
-    def test_block_is_compiled_before_the_first_fork(self, instance7, monkeypatch, path, compiled):
-        monkeypatch.setattr(core, "_block", None)
-        forks = counting_forks(monkeypatch, lambda: core._block is not None)
-        with kernel_path(path):
-            solve_interval_team(instance7, WorkRange(0, 720), 2)
-        assert forks == [compiled]
+    @pytest.mark.parametrize("path,held,compiled", [
+        pytest.param("block", False, True, id="block-True"),
+        pytest.param("walk", False, False, id="walk-False"),
+        pytest.param(None, False, False, id="cold-False"),
+        pytest.param(None, True, True, id="warm-True"),
+    ])
+    def test_block_is_compiled_before_the_first_fork(self, instance7, monkeypatch, path, held,
+                                                     compiled):
+        # With the thresholds as they are (no path forced), an n = 8 team
+        # of 2 scans halves of 2,520 leaves: below _BLOCK_MIN, so a process
+        # that does not hold the block walks, and at least _BLOCK_WARM, so
+        # one that holds it hands it to the member it forks.
+        matrix = instance7 if path else generate_instance(8, 8, symmetric=False)
+        monkeypatch.setattr(core, "_block", core._block5() if held else None)
+        asked, block5 = [], core._block5
+        monkeypatch.setattr(core, "_block5", lambda: asked.append(1) or block5())
+        forks = counting_forks(monkeypatch, lambda: (len(asked), core._block is not None))
+        work = WorkRange(0, factorial(matrix.n - 1))
+        with kernel_path(path) if path else contextlib.nullcontext():
+            assert solve_interval_team(matrix, work, 2) == solve_range(matrix, work)
+        assert forks == [(int(compiled), compiled)]
         assert (core._block is not None) == compiled
 
 

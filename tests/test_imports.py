@@ -11,10 +11,11 @@ import sys
 
 import pytest
 
-from tspbench import backends
+from tspbench import backends, core
 from tspbench.backends import parse_backend_spec, solve, worker_command
-from tspbench.core import solve_serial
+from tspbench.core import solve_range, solve_serial
 from tspbench.instances import generate_instance
+from tspbench.permutation import WorkRange
 from tspbench.protocol import parse_message
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -133,22 +134,32 @@ def printed_by_shipped_worker(monkeypatch, tmp_path, team, statement, expression
     """What ``print(expression)`` writes after ``statement`` runs in a
     worker interpreter that read the shipped code for a fork ``team`` or
     none: the real command, with ``statement`` in place of its entry into
-    worker.main, and a PYTHONPATH that leads to no package."""
+    worker.main, and a PYTHONPATH that leads to no package.  The code is
+    written once the worker has started, as _spawn_worker writes it."""
     monkeypatch.delenv("TSPBENCH_WORKER_BIN", raising=False)
     *cmd, boot = worker_command()
     boot = boot.rpartition("\n")[0]  # all but the line that enters worker.main
     read, write = os.pipe()
     try:
-        with open(write, "wb") as pipe:  # no wait: the code fits in the pipe
-            pipe.write(backends._worker_code(team))
-        out = subprocess.run(
+        proc = subprocess.Popen(
             [*cmd, f"{boot}\n{statement}\nprint({expression})", str(read)], pass_fds=(read,),
-            env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True,
-            check=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(tmp_path)), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
         )
+    except BaseException:
+        os.close(write)
+        raise
     finally:
         os.close(read)
-    return out.stdout.strip()
+    try:
+        with open(write, "wb") as pipe:
+            pipe.write(backends._worker_code(team))
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0, err
+    return out.strip()
 
 
 #: An expression for the loader of each package module in sys.modules,
@@ -174,26 +185,82 @@ def test_shipped_worker_imports_the_same_modules_from_the_shipped_code(monkeypat
 
 @pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
 def test_shipped_code_is_the_loaders_own(team):
+    # each module's code, and core's block as the module block5
     shipped = marshal.loads(backends._worker_code(team))
+    block = shipped.pop("tspbench.block5")
+    assert block == core.block_code() and block.co_filename == "<block5>"
     assert sorted(shipped) == sorted([*WORKER_MODULES, *["tspbench.team"] * team])
     for name, code in shipped.items():
         spec = importlib.util.find_spec(name)
         assert code == spec.loader.get_code(name) and code.co_filename == spec.origin
 
 
-@pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"), reason="needs the pipe capacity")
+@pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
+def test_shipped_worker_holds_the_block_before_its_first_scan(monkeypatch, tmp_path, team):
+    # worker.main, up to the loop that reads tasks: that loop is replaced
+    # by one task of an n = 8 half (2,520 leaves, at least _BLOCK_WARM),
+    # and every compile() call from the start is recorded: none is made.
+    matrix = generate_instance(8, 0, symmetric=False)
+    statement = (
+        "import builtins\n"
+        "compiled, real_compile = [], builtins.compile\n"
+        "builtins.compile = lambda *args, **kw: compiled.append(args[1]) or real_compile(*args, **kw)\n"
+        "from tspbench import core, worker\n"
+        "from tspbench.protocol import Task\n"
+        "def first_task():\n"
+        "    held = core._block is not None\n"
+        f"    result = worker._run_task(Task(8, {matrix.costs!r}, 0, 2520, {2 if team else 1}))\n"
+        "    print(held, core.block_for(2520) is core._block, tuple(result), compiled)\n"
+        "    return 0\n"
+        "worker.run_worker = first_task\n"
+        "worker.main()"
+    )
+    printed = printed_by_shipped_worker(monkeypatch, tmp_path, team, statement, "'main returned'")
+    assert printed == f"True True {tuple(solve_range(matrix, WorkRange(0, 2520)))} []"
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs the pipe capacity")
 @pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
 def test_shipped_code_fits_in_the_pipe(team):
-    # A larger write would wait for the worker to read: spawns would run
-    # one after another, and a worker stuck before its read would hang
-    # the coordinator.
+    # The code pipe, with the room _spawn_worker makes in it, takes the
+    # whole map at once.  A write that waited for the worker to read
+    # would run spawns one after another, and a worker stuck before its
+    # read would hang the coordinator.
+    code = backends._worker_code(team)
     read, write = os.pipe()
     try:
-        capacity = fcntl.fcntl(read, fcntl.F_GETPIPE_SZ)
+        backends._make_room(write, len(code))
+        os.set_blocking(write, False)
+        assert os.write(write, code) == len(code)
     finally:
         os.close(read)
         os.close(write)
-    assert len(backends._worker_code(team)) < capacity
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs the pipe capacity")
+@pytest.mark.parametrize("threads", [1, 2], ids=["procs", "hybrid"])
+def test_spawn_does_not_wait_for_the_worker_to_read_its_code(threads):
+    # A worker that reads only its stdin, to its end, and never its code
+    # pipe: the spawn writes the code, then the task, and returns.
+    code = (
+        "import os, sys\n"
+        "from tspbench import backends\n"
+        "from tspbench.instances import generate_instance\n"
+        "from tspbench.permutation import WorkRange\n"
+        "backends.worker_command = lambda: [sys.executable, '-S', '-c', "
+        "'import sys; sys.stdin.buffer.read()']\n"
+        "read, write = os.pipe()\n"
+        f"pid = backends._spawn_worker(generate_instance(8, 0, symmetric=False), {threads}, "
+        "WorkRange(0, 5040), write)\n"
+        "os.close(write)\n"
+        "print(os.read(read, 1), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "TSPBENCH_WORKER_BIN"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(env, PYTHONPATH=SRC_DIR), capture_output=True,
+        text=True, check=True, timeout=60,
+    )
+    assert out.stdout == "b'' 0\n"
 
 
 def test_shipped_workers_solve_with_no_package_on_their_path(monkeypatch, tmp_path):

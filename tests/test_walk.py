@@ -164,16 +164,23 @@ def test_block_totals_are_the_tour_costs(data):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_ranges_at_the_block_threshold_match_the_reference(kind, fault, monkeypatch):
-    # one leaf short of _BLOCK_MIN the range walks; at it, the range asks
-    # for the block.  Both start off a block's boundary at n = 9.
+    # In a process that does not hold the block (cold), a range one leaf
+    # short of _BLOCK_MIN walks and one at it asks for the block, so the
+    # process holds it from then on; in one that holds it (compiled), the
+    # same holds at _BLOCK_WARM.  Every range starts off a block's
+    # boundary at n = 9.
     asked = []
     block5 = core._block5
     monkeypatch.setattr(core, "_block5", lambda: asked.append(1) or block5())
     matrix = make_matrix(kind, 9)
-    for count, blocks in ((core._BLOCK_MIN - 1, 0), (core._BLOCK_MIN, 1)):
-        expected = reference_range(matrix, 777, 777 + count)
-        assert solve_range(matrix, WorkRange(777, 777 + count)) == expected
-        assert len(asked) == blocks
+    for held, threshold in ((None, core._BLOCK_MIN), (block5(), core._BLOCK_WARM)):
+        for count, blocks in ((threshold - 1, 0), (threshold, 1)):
+            monkeypatch.setattr(core, "_block", held)
+            asked.clear()
+            expected = reference_range(matrix, 777, 777 + count)
+            assert solve_range(matrix, WorkRange(777, 777 + count)) == expected
+            assert len(asked) == blocks
+            assert (core._block is not None) == (blocks == 1 or held is not None)
 
 
 @pytest.mark.parametrize("kind", KINDS)
