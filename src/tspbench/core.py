@@ -6,7 +6,9 @@ solution is a permutation of the remaining labels 1 .. n-1 and the
 solver scans all (n-1)! of them keeping the cheapest.  One kernel,
 ``_walk``, does every scan: a depth-first walk of the permutation tree
 in lexicographic order that carries each prefix's cost down, handing
-each whole subtree of five labels to a block generated at first use.
+each whole subtree of five labels to a block generated at first use,
+and on long ranges first testing all 120 of its tours at once, as the
+lanes of one integer.
 
 Among equal-cost optima the lexicographically smallest permutation
 wins.  Every backend applies the same tie-break, which makes results
@@ -39,7 +41,7 @@ INFINITE_COST = 2**63 - 1
 MAX_CITIES = 34
 
 #: The scan kernel's name, recorded in every benchmark report.
-KERNEL = "prefix-walk+block5+tail3"
+KERNEL = "prefix-walk+block5+tail3+lanes"
 
 #: Environment variable for fault-injection tests: when set (non-empty)
 #: solve_range walks the negated costs, so it keeps the costliest tour
@@ -161,16 +163,81 @@ _BLOCK_MIN = 25_000
 #: suffix table is left to pay for, and the walk and the blocks break
 #: even at ~720 leaves at n = 8..9, ~1,000 at n = 10 and ~1,300 at
 #: n = 11..12 (process_time, medians of 15); at 2,520 leaves the blocks
-#: took 0.68-0.82 of the walk's time over n = 8..12, and at 5,040
-#: 0.52-0.67.  The table grows as n**3 (0.09-0.17 ms at n = 12, 1.6-3 ms
-#: at n = 34), so at 2,520 leaves blocks lose from n = 14 (1.05x the
-#: walk's time, 1.40x at n = 16); at n >= 12 only a split over
-#: thousands of workers makes a range that short.
+#: took 0.68-0.85 of the walk's time over n = 8..12, and at 5,040
+#: 0.52-0.71.  The table grows as n**3 (0.09-0.17 ms at n = 12, 1.6-3 ms
+#: at n = 34), so block_for also asks for n**3 leaves, which binds from
+#: n = 14.  At 2,520 leaves the blocks took 0.94-1.09x the walk's time
+#: at n = 14, 0.94-1.05x at n = 16 and 1.35-1.40x at n = 20; at n**3
+#: leaves (2,744, 4,096 and 8,000) 0.59-1.01x, 0.83-0.87x and
+#: 0.82-0.84x; they break even near 5,000 leaves at n = 20.  At n >= 12
+#: only a split over thousands of workers makes a range that short.
 _BLOCK_WARM = 2_500
 
 #: Leaf i of a block is the tour that orders its five labels as
 #: _BLOCK_ORDER[i] (indices into them), in lexicographic order.
 _BLOCK_ORDER = tuple(permutations(range(5)))
+
+#: The lane filter (see _walk) serves ranges from _LANES_MIN leaves at
+#: n <= _LANES_MAX_N.  A subtree of five labels recurs (k-7)! times in a
+#: subtree of k labels, and its entry costs about one block call to
+#: build, so a range must span subtrees of eight labels or more to repay
+#: its table; no n <= 9 range is that long.  Block held, process_time,
+#: medians of 15, filter / blocks over n = 10..13: 2,520 leaves 2.2-4.1x,
+#: 40,320 0.81-1.56x, 80,640 0.48-0.94x, 181,440 0.53-0.65x.  A full
+#: n = 13 table holds (n-1)*C(n-2, 5) = 5,544 entries of five labels,
+#: 12,289 in all, and under 6 MB with its keys.
+_LANES_MIN = 80_000
+_LANES_MAX_N = 13
+
+#: A lane is 40 bits of an int, in _BLOCK_ORDER from the lowest.  An
+#: entry of _LaneTable holds in each lane a suffix cost plus _LANE_BIAS,
+#: and _walk adds cost - min(best_cost, _LANE_CAP) + _LANE_SHIFT to each
+#: of the 120 lanes of an entry of five labels, which makes lane i
+#: total_i - bound + 2**39: its top bit is clear exactly when tour i
+#: costs less than the bound.  The bounds hold for the negated costs of
+#: FAULT_ENV_VAR too: a tour costs at most 34 * MAX_COST < 2**35 in size
+#: and a suffix of six legs less than 2**33, so an entry's lanes lie in
+#: (2**33, 2**35), the bound in (-2**35, 2**36], and a sum's lanes in
+#: (2**39 - 3 * 2**35, 2**39 + 2**36): each stays in [0, 2**40), and no
+#: lane carries into or borrows from the next.  _LANE_ONES[k] has a 1 in
+#: each of the lowest k! lanes, and _LANE_HIGH the top bit of 120.
+_LANE = 40
+_LANE_BIAS = 1 << 34
+_LANE_CAP = 1 << 36
+_LANE_SHIFT = (1 << _LANE - 1) - _LANE_BIAS
+_LANE_ONES = tuple(((1 << _LANE * factorial(k)) - 1) // ((1 << _LANE) - 1) for k in range(6))
+_LANE_HIGH = _LANE_ONES[5] << _LANE - 1
+
+
+class _LaneTable(dict):
+    """One walk's lane table: table[mask << 4 | last] holds, in lane i,
+    the cost of last -> the ith ordering of the labels set in mask -> 0,
+    plus _LANE_BIAS, with the orderings in lexicographic order.  An entry
+    of k labels is built at its first lookup, from the entries of k - 1:
+    the sum over its labels x_i of (costs[last][x_i] * ones +
+    table[x_i, rem - x_i]) << 40 * i * (k-1)!.  A table with n > 16
+    would need a wider key."""
+
+    def __init__(self, costs):
+        super().__init__((x, row[0] + _LANE_BIAS) for x, row in enumerate(costs))
+        self.costs = costs
+
+    def __missing__(self, key):
+        mask = key >> 4
+        row = self.costs[key & 15]
+        below = mask.bit_count() - 1  # labels in each entry this one is built from
+        ones, width = _LANE_ONES[below], _LANE * factorial(below)
+        lanes = shift = 0
+        rest = mask
+        while rest:  # the labels in increasing order
+            bit = rest & -rest
+            rest ^= bit
+            x = bit.bit_length() - 1
+            lanes += (row[x] * ones + self[(mask ^ bit) << 4 | x]) << shift
+            shift += width
+        self[key] = lanes
+        return lanes
+
 
 _block = None  # the block, once this process holds it
 _block_code = None  # the code that defines it, once this process compiled it
@@ -219,14 +286,15 @@ def block_code():
     return _block_code
 
 
-def block_for(count: int):
-    """The block, made now, if a scan of ``count`` leaves uses it; else
-    None.  The one place that reads the thresholds: a range uses blocks
-    from _BLOCK_WARM leaves in a process that holds the block, and from
-    _BLOCK_MIN leaves in one that would compile it first.  A fork team
-    asks before it forks, so that its members inherit the block instead
-    of each compiling one."""
-    return _block5() if count >= (_BLOCK_MIN if _block is None else _BLOCK_WARM) else None
+def block_for(count: int, n: int):
+    """The block, made now, if a scan of ``count`` leaves of an n-city
+    instance uses it; else None.  The one place that reads the
+    thresholds: a range uses blocks from _BLOCK_MIN leaves in a process
+    that would compile the block first, and in one that holds it from
+    _BLOCK_WARM leaves and at least one leaf per entry of the n**3
+    suffix table.  A fork team asks before it forks, so that its members
+    inherit the block instead of each compiling one."""
+    return _block5() if count >= (_BLOCK_MIN if _block is None else max(_BLOCK_WARM, n**3)) else None
 
 
 def _walk(costs, n: int, start: int, count: int):
@@ -243,6 +311,19 @@ def _walk(costs, n: int, start: int, count: int):
     that lead to them (a full range is all subtrees); factorial
     arithmetic skips every subtree outside it.  The strict ``<`` keeps
     the first optimum visited, the smallest in lexicographic order.
+
+    A range of _LANES_MIN leaves or more at n <= _LANES_MAX_N also
+    builds a lane table (_LaneTable), whose entry for a last city and
+    five labels holds the suffix costs of all 120 orderings, one to a
+    40-bit lane of one int (SWAR: Lamport, CACM 18(8), 1975).  Before a
+    block, one multiply-add puts cost - best_cost + 2**39 into each lane
+    (the bounds are stated at _LANE), and one mask tests all 120 top
+    bits: a lane's is clear exactly when its tour costs strictly less
+    than the best so far.  With none clear, no tour of the block can
+    replace the best under the strict ``<``, and the block counts its
+    120 leaves; with any clear, the block runs as above.  So each tour
+    still gets its own sum and its own comparison, nothing is pruned,
+    and (cost, path) and the count are those of the blocks alone.
     """
     home = [row[0] for row in costs]
     # tails[y][z]: the last two legs y -> z -> 0 of a tour
@@ -288,7 +369,7 @@ def _walk(costs, n: int, start: int, count: int):
         best_cost = best
         visited += 6
 
-    if (block := block_for(count)) is not None:
+    if (block := block_for(count, n)) is not None:
         # each whole subtree of five labels is one block call; rebinding
         # subtree leaves the walk below the threshold as it was, where a
         # length test in the walk itself slowed n = 8 solves by ~6%
@@ -306,6 +387,22 @@ def _walk(costs, n: int, start: int, count: int):
                 order = _BLOCK_ORDER[totals.index(low)]
                 best_cost, best_path = low, (*prefix, *[rem[i] for i in order], 0)
             visited += 120
+
+        if count >= _LANES_MIN and n <= _LANES_MAX_N:
+            # a block runs only when a lane of its entry is below the best
+            block_subtree = subtree
+            table = _LaneTable(costs)
+
+            def subtree(last, cost, rem):
+                nonlocal visited
+                if len(rem) == 5:
+                    a, b, c, d, e = rem
+                    lanes = table[(1 << a | 1 << b | 1 << c | 1 << d | 1 << e) << 4 | last]
+                    bound = best_cost if best_cost < _LANE_CAP else _LANE_CAP
+                    if (lanes + (cost - bound + _LANE_SHIFT) * _LANE_ONES[5]) & _LANE_HIGH == _LANE_HIGH:
+                        visited += 120
+                        return
+                block_subtree(last, cost, rem)
 
     def edge(last, cost, rem, lo, hi):
         # leaves lo .. hi-1 of the subtree below ``prefix``; a child wholly

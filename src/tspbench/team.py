@@ -154,7 +154,7 @@ def solve_interval_team(matrix: CostMatrix, work: WorkRange, threads: int) -> So
     When that range, the longest, is long enough for core's block, the
     block is compiled before the forks, so no member compiles its own."""
     sub = [WorkRange(work.start + r.start, work.start + r.end) for r in partition(work.count, threads)]
-    block_for(sub[0].count)
+    block_for(sub[0].count, matrix.n)
     # os.fork() is 0 only in the child, which _team_member never lets return
     return reduce_results(_run_workers(
         matrix, sub, lambda w, fd: os.fork() or _team_member(matrix, w, fd), team=True

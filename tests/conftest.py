@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import itertools
 import math
@@ -7,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from tspbench import core
+from tspbench import core, team
 from tspbench.core import CostMatrix
 from tspbench.errors import ValidationError
 from tspbench.permutation import factorial
@@ -60,16 +61,27 @@ def brute_force_best(rows):
     return cost, (0, *perm, 0)
 
 
-#: The scan kernel's two paths: the plain walk for every range, however
-#: long, and 5-level blocks for every range, however short.
-KERNEL_PATHS = {"walk": math.inf, "block": 0}
+#: The scan kernel's three paths: the plain walk for every range, however
+#: long; 5-level blocks for every range, however short; and those blocks
+#: behind the lane filter for every range that may build its table
+#: (n <= core._LANES_MAX_N).
+KERNEL_PATHS = ("walk", "block", "lanes")
 
 
+@contextlib.contextmanager
 def kernel_path(path: str):
     """Context in which every scan takes ``path`` of KERNEL_PATHS, whether
-    or not the process holds the block: both thresholds are patched."""
-    threshold = KERNEL_PATHS[path]
-    return mock.patch.multiple(core, _BLOCK_MIN=threshold, _BLOCK_WARM=threshold)
+    or not the process holds the block: core.block_for, and team's name
+    for it, answer the block for every range or for none, and the lane
+    filter's threshold is 0 or out of reach."""
+
+    def block_for(count, n):
+        return None if path == "walk" else core._block5()
+
+    lanes = 0 if path == "lanes" else math.inf
+    with mock.patch.multiple(core, block_for=block_for, _LANES_MIN=lanes), \
+            mock.patch.object(team, "block_for", block_for):
+        yield
 
 
 def better_result(a, b):

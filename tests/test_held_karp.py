@@ -3,8 +3,8 @@
 perfbench's Held-Karp solver shares no code with tspbench and returns
 the lexicographically smallest optimal tour, so it checks the serial
 walk and a forked team on cost, path and tie-break at n = 11, where
-``brute_force_best`` in conftest would take minutes, on both kernel
-paths.
+``brute_force_best`` in conftest would take minutes, on every kernel
+path, and the serial walk at n = 12 on the lanes path.
 """
 
 import importlib.util
@@ -38,3 +38,13 @@ def test_eleven_cities_match_held_karp(symmetric):
         for result in results:
             assert (result.optimal_cost, result.optimal_path) == expected, path
             assert result.evaluated == factorial(10)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+def test_twelve_cities_match_held_karp_on_the_lanes_path(symmetric):
+    matrix = generate_instance(12, 612, symmetric)
+    expected = load_held_karp()(matrix.costs)
+    with kernel_path("lanes"):
+        result = solve_serial(matrix)
+    assert (result.optimal_cost, result.optimal_path) == expected
+    assert result.evaluated == factorial(11)

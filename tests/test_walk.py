@@ -5,12 +5,19 @@ reference: it recomputes every tour from scratch and steps with
 next_permutation.  solve_range must return what the old solve_range
 returned, (cost, path, evaluated), on every range checked here, on
 symmetric, asymmetric and all-ones matrices, with and without the
-fault variable, and on both kernel paths: the plain walk and the
-5-level blocks.  The block's 120 totals are also checked one by one
-against path_cost.
+fault variable, and on all three kernel paths: the plain walk, the
+5-level blocks, and the blocks behind the lane filter.  The block's 120
+totals and the lane table's 120 lanes are also checked one by one
+against path_cost, the filter must run exactly the blocks that improve
+on the best tour before them, and the table must keep its size bound.
 """
 
+import gc
+import math
 import os
+import sys
+import weakref
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -24,6 +31,8 @@ from tspbench.core import (
     FAULT_ENV_VAR,
     INFINITE_COST,
     MAX_CITIES,
+    MAX_COST,
+    CostMatrix,
     SolveResult,
     path_cost,
     solve_range,
@@ -183,6 +192,17 @@ def test_ranges_at_the_block_threshold_match_the_reference(kind, fault, monkeypa
             assert (core._block is not None) == (blocks == 1 or held is not None)
 
 
+@pytest.mark.parametrize("n", [9, 13, 14, 16, 20])
+def test_held_block_needs_a_leaf_per_suffix_table_entry(n, monkeypatch):
+    # once the block is held, a range uses it from _BLOCK_WARM leaves and
+    # from n**3, the suffix table's size, which binds from n = 14
+    monkeypatch.setattr(core, "_block", core._block5())
+    threshold = max(core._BLOCK_WARM, n**3)
+    assert (threshold == core._BLOCK_WARM) == (n <= 13)
+    assert core.block_for(threshold - 1, n) is None
+    assert core.block_for(threshold, n) is core._block
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_serial_is_the_full_range_and_ignores_the_fault_variable(kind, monkeypatch):
     matrix = make_matrix(kind, 8)
@@ -193,3 +213,172 @@ def test_serial_is_the_full_range_and_ignores_the_fault_variable(kind, monkeypat
             monkeypatch.setenv(FAULT_ENV_VAR, "1")
             assert solve_serial(matrix) == expected
             monkeypatch.delenv(FAULT_ENV_VAR)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lane_entries_are_the_suffix_costs(data):
+    # lane i of an entry is last -> the ith ordering of its five labels
+    # -> 0, plus the bias; sign -1 is the negated matrix of the fault
+    # variable, and MAX_COST makes the largest lanes
+    n = data.draw(st.integers(6, core._LANES_MAX_N), label="n")
+    kind = data.draw(st.sampled_from([*KINDS, "max"]), label="kind")
+    matrix = max_matrix(n) if kind == "max" else make_matrix(kind, n)
+    sign = data.draw(st.sampled_from([1, -1]), label="sign")
+    labels = data.draw(st.permutations(range(1, n)), label="labels")
+    rem = sorted(labels[:5])
+    last = data.draw(st.sampled_from([0, *labels[5:]]), label="last")
+    costs = tuple(tuple(sign * cost for cost in row) for row in matrix.costs)
+    lanes = core._LaneTable(costs)[sum(1 << x for x in rem) << 4 | last]
+    cities = [(last, *[rem[i] for i in order], 0) for order in core._BLOCK_ORDER]
+    assert [lanes >> core._LANE * i & (1 << core._LANE) - 1 for i in range(120)] == [
+        sum(costs[y][z] for y, z in zip(tour, tour[1:])) + core._LANE_BIAS for tour in cities]
+
+
+def max_matrix(n):
+    return CostMatrix([[0 if i == j else MAX_COST for j in range(n)] for i in range(n)])
+
+
+def blocks_that_improve(matrix, start, end):
+    """How many whole subtrees of five labels in [start, end) hold a tour
+    cheaper than every tour before them in the range, over the negated
+    costs when the fault variable is set: the blocks the lane filter must
+    run, at n >= 7."""
+    sign = -1 if os.environ.get(FAULT_ENV_VAR) else 1
+    perm = unrank(start, range(1, matrix.n))
+    best, low, improve = INFINITE_COST, INFINITE_COST, 0
+    for index in range(start, end):
+        cost = sign * path_cost(perm, matrix)
+        first = index - index % 120
+        if first < start or first + 120 > end:  # a leaf the walk visits alone
+            best = min(best, cost)
+        else:
+            low = min(low, cost) if index > first else cost
+            if index == first + 119:
+                improve += low < best
+                best = min(best, low)
+        next_permutation(perm)
+    return improve
+
+
+def counting_block(monkeypatch):
+    """A list that gets one entry per block call from now on."""
+    calls, block = [], core._block5()
+    monkeypatch.setattr(core, "_block5", lambda: lambda *args: calls.append(1) or block(*args))
+    return calls
+
+
+def tour_matrix(tour, symmetric):
+    """An n = 8 matrix on which ``tour`` is the one optimum, or ties with
+    its reverse when ``symmetric``: each leg costs 1, and the legs of
+    ``tour`` 0.  Asymmetric, its first leg costs 2, so that ``tour``
+    costs 2, and every other tour at least 3, one early on exactly 3."""
+    rows = [[0 if i == j else 1 for j in range(8)] for i in range(8)]
+    for y, z in zip((0, *tour), (*tour, 0)):
+        rows[y][z] = 0
+        if symmetric:
+            rows[z][y] = 0
+    if not symmetric:
+        rows[0][tour[0]] = 2
+    return CostMatrix(rows)
+
+
+#: The one optimum in lane 0 and in lane 119 of the seventh block.
+LANE_TOURS = {"lane-0": (2, 1, 3, 4, 5, 6, 7), "lane-119": (2, 1, 7, 6, 5, 4, 3)}
+
+LANE_CASES = {
+    **{case: tour_matrix(tour, symmetric=False) for case, tour in LANE_TOURS.items()},
+    "equal-optima": tour_matrix(LANE_TOURS["lane-0"], symmetric=True),
+    "all-ones": all_ones(8),
+    "symmetric": make_matrix("symmetric", 8),
+    "asymmetric": make_matrix("asymmetric", 8),
+}
+
+
+@pytest.mark.parametrize("case", LANE_CASES)
+def test_lane_filter_runs_exactly_the_blocks_that_improve(case, fault, monkeypatch):
+    # lane-0 and lane-119: the one optimum is the first or the last leaf
+    # of a block, and 1 below the best before it; equal-optima: the
+    # block of the later of two optima must not run
+    matrix = LANE_CASES[case]
+    total = factorial(7)
+    calls = counting_block(monkeypatch)
+    for start, end in ((0, total), (1234, 4321)):
+        calls.clear()
+        with kernel_path("lanes"):
+            got = solve_range(matrix, WorkRange(start, end))
+        assert got == reference_range(matrix, start, end)
+        assert len(calls) == blocks_that_improve(matrix, start, end)
+    if case in LANE_TOURS and not fault:
+        with kernel_path("lanes"):
+            assert solve_serial(matrix) == SolveResult(2, (0, *LANE_TOURS[case], 0), total)
+
+
+def test_largest_lanes_keep_the_first_tour(fault, monkeypatch):
+    # every tour at n = 13 costs 13 * MAX_COST, negated under the fault
+    # variable: only the first block of a range that starts on one runs
+    n = core._LANES_MAX_N
+    matrix = max_matrix(n)
+    calls = counting_block(monkeypatch)
+    for start, end in ((0, 5040), (777, 777 + 5040), (factorial(n - 1) - 5040, factorial(n - 1))):
+        calls.clear()
+        with kernel_path("lanes"):
+            got = solve_range(matrix, WorkRange(start, end))
+        assert got == reference_range(matrix, start, end)
+        assert len(calls) == blocks_that_improve(matrix, start, end) == (start % 120 == 0)
+
+
+def spy_tables(monkeypatch):
+    """A list of weak references to every lane table built from now on."""
+    tables = []
+
+    class Spy(core._LaneTable):
+        def __init__(self, costs):
+            super().__init__(costs)
+            tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(core, "_LaneTable", Spy)
+    return tables
+
+
+@pytest.mark.parametrize("n", [10, 13, 14])
+def test_lane_table_is_built_from_its_threshold_up_to_its_size_cap(n, monkeypatch):
+    # with the thresholds as they are: a range one leaf short of
+    # _LANES_MIN builds no table, one at it builds one at n <= 13, and
+    # no n >= 14 range builds one, not even on the lanes path
+    tables = spy_tables(monkeypatch)
+    matrix = make_matrix("asymmetric", n)
+    for count in (core._LANES_MIN - 1, core._LANES_MIN):
+        tables.clear()
+        expected = reference_range(matrix, 777, 777 + count)
+        assert solve_range(matrix, WorkRange(777, 777 + count)) == expected
+        assert len(tables) == (count == core._LANES_MIN and n <= core._LANES_MAX_N)
+    tables.clear()
+    with kernel_path("lanes"):
+        solve_range(matrix, WorkRange(777, 777 + 5040))
+    assert len(tables) == (n <= core._LANES_MAX_N)
+
+
+def test_lane_table_is_freed_when_the_walk_returns(monkeypatch):
+    # no reference cycle keeps it for the cyclic collector
+    tables = spy_tables(monkeypatch)
+    gc.disable()
+    try:
+        with kernel_path("lanes"):
+            solve_range(make_matrix("asymmetric", 9), WorkRange(0, 5040))
+    finally:
+        gc.enable()
+    assert len(tables) == 1 and tables[0]() is None
+
+
+def test_lane_table_keeps_its_size_bound():
+    # The fullest table a walk can build: every subtree of five labels
+    # at n = 13, with the entries of fewer labels they are built from,
+    # keys included, stays under the 6 MB that core states.
+    n = core._LANES_MAX_N
+    table = core._LaneTable(make_matrix("asymmetric", n).costs)
+    for last in range(1, n):
+        for rem in combinations(sorted(set(range(1, n)) - {last}), 5):
+            table[sum(1 << x for x in rem) << 4 | last]
+    assert sum((key >> 4).bit_count() == 5 for key in table) == (n - 1) * math.comb(n - 2, 5) == 5_544
+    assert sys.getsizeof(table) + sum(map(sys.getsizeof, (*table, *table.values()))) < 6 * 2**20
