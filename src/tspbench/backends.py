@@ -6,8 +6,8 @@ process transports with one of two team transports:
 
 * process: on the caller, or in a worker interpreter that the package
   starts by posix_spawn (see worker_command and worker.py).  A worker
-  gets the code of the package modules it runs and core's block on a
-  pipe of its own, compiled once per coordinator, and everything else,
+  gets the code of every package module a worker runs and core's block
+  on a pipe of its own, one map per coordinator, and everything else,
   the matrix included, over line-delimited JSON (see protocol.py), so the
   coordinator stays a pure master: it partitions, distributes, collects
   and reduces, but evaluates no permutations itself.
@@ -136,15 +136,15 @@ def hybrid_ranges(total: int, processes: int, threads: int) -> list[list[WorkRan
 # --- worker start ----------------------------------------------------------
 
 
-#: The package modules a worker imports; a hybrid worker's team adds team.
+#: The package modules a worker may import; only a hybrid worker's fork
+#: team imports team.
 WORKER_MODULES = ("tspbench", "tspbench.core", "tspbench.errors", "tspbench.permutation",
-                  "tspbench.protocol", "tspbench.worker")
+                  "tspbench.protocol", "tspbench.team", "tspbench.worker")
 #: The name under which the code pipe carries core's block, as a module
 #: that defines it; worker.main imports it.
 BLOCK_MODULE = "tspbench.block5"
 CODE_FD = 3  # the fd on which a worker of the package's own command reads its code
-_code: dict = {}  # each module's code object, by name, built once per process
-_shipped: dict[bool, bytes] = {}  # a worker's code, marshalled, by whether a team runs it
+_shipped = b""  # every worker's code, marshalled, built once per process
 
 
 def worker_command() -> list[str]:
@@ -186,22 +186,18 @@ def _worker_env() -> dict:
     return env
 
 
-def _worker_code(team: bool) -> bytes:
-    """The code of each module a worker imports (team's for a fork
-    ``team`` only) and core's block, marshalled by name.  Each module's
-    code is built once per process, whichever kind of worker needs it
-    first: its own loader reads it from a .pyc where one exists, or
+def _worker_code() -> bytes:
+    """The code of each of WORKER_MODULES and core's block, marshalled by
+    name: one map for every worker, built once per process.  Each
+    module's own loader reads its code from a .pyc where one exists, or
     compiles it in memory.  The coordinator holds the block from here on."""
-    if team not in _shipped:
+    global _shipped
+    if not _shipped:
         from importlib.util import find_spec  # site has loaded it; -S pays at the first spawn
 
-        names = WORKER_MODULES + ("tspbench.team",) * team
-        for name in names:
-            if name not in _code:
-                _code[name] = find_spec(name).loader.get_code(name)
-        shipped = {name: _code[name] for name in names} | {BLOCK_MODULE: block_code()}
-        _shipped[team] = marshal.dumps(shipped)
-    return _shipped[team]
+        code = {name: find_spec(name).loader.get_code(name) for name in WORKER_MODULES}
+        _shipped = marshal.dumps(code | {BLOCK_MODULE: block_code()})
+    return _shipped
 
 
 def _spawn_worker(matrix: CostMatrix, threads: int, work: WorkRange, fd: int) -> int:
@@ -227,8 +223,8 @@ def _spawn_worker(matrix: CostMatrix, threads: int, work: WorkRange, fd: int) ->
     finally:
         for read, _ in pipes:
             os.close(read)
-    if ship:  # the code first, compiled at the first spawn while that worker starts
-        code = _worker_code(threads > 1)
+    if ship:  # the code first, built at the first spawn while that worker starts
+        code = _worker_code()
         _make_room(pipes[1][1], len(code))
         _send(pipes[1][1], code)
     _send(pipes[0][1], (task_message(matrix.costs, work, threads) + shutdown_message()).encode())

@@ -158,21 +158,6 @@ def _fault_enabled() -> bool:
 #: (CPython 3.11 under -S); a one-shot n = 8 solve never compiles it.
 _BLOCK_MIN = 25_000
 
-#: Smallest range that scans in blocks once the process holds the block:
-#: it compiled one, or got one with a spawned worker's code.  Only the
-#: suffix table is left to pay for, and the walk and the blocks break
-#: even at ~720 leaves at n = 8..9, ~1,000 at n = 10 and ~1,300 at
-#: n = 11..12 (process_time, medians of 15); at 2,520 leaves the blocks
-#: took 0.68-0.85 of the walk's time over n = 8..12, and at 5,040
-#: 0.52-0.71.  The table grows as n**3 (0.09-0.17 ms at n = 12, 1.6-3 ms
-#: at n = 34), so block_for also asks for n**3 leaves, which binds from
-#: n = 14.  At 2,520 leaves the blocks took 0.94-1.09x the walk's time
-#: at n = 14, 0.94-1.05x at n = 16 and 1.35-1.40x at n = 20; at n**3
-#: leaves (2,744, 4,096 and 8,000) 0.59-1.01x, 0.83-0.87x and
-#: 0.82-0.84x; they break even near 5,000 leaves at n = 20.  At n >= 12
-#: only a split over thousands of workers makes a range that short.
-_BLOCK_WARM = 2_500
-
 #: Leaf i of a block is the tour that orders its five labels as
 #: _BLOCK_ORDER[i] (indices into them), in lexicographic order.
 _BLOCK_ORDER = tuple(permutations(range(5)))
@@ -286,15 +271,14 @@ def block_code():
     return _block_code
 
 
-def block_for(count: int, n: int):
-    """The block, made now, if a scan of ``count`` leaves of an n-city
-    instance uses it; else None.  The one place that reads the
-    thresholds: a range uses blocks from _BLOCK_MIN leaves in a process
-    that would compile the block first, and in one that holds it from
-    _BLOCK_WARM leaves and at least one leaf per entry of the n**3
-    suffix table.  A fork team asks before it forks, so that its members
-    inherit the block instead of each compiling one."""
-    return _block5() if count >= (_BLOCK_MIN if _block is None else max(_BLOCK_WARM, n**3)) else None
+def block_for(count: int):
+    """The block, made now, if a scan of ``count`` leaves uses it; else
+    None.  The one place that picks the path: a process that holds the
+    block uses it on every range, and one that does not compiles it for
+    a range of _BLOCK_MIN leaves or more.  A fork team asks before it
+    forks, so that its members inherit the block instead of each
+    compiling one."""
+    return _block5() if _block is not None or count >= _BLOCK_MIN else None
 
 
 def _walk(costs, n: int, start: int, count: int):
@@ -303,8 +287,8 @@ def _walk(costs, n: int, start: int, count: int):
 
     The walk descends over the sorted remaining labels (Knuth, TAOCP
     Vol. 4A, 7.2.1.2), so a leaf adds only its last legs to the cost of
-    its prefix, and the last three levels are unrolled.  A range long
-    enough for block_for builds the three-leg suffix table t3 and costs
+    its prefix, and the last three levels are unrolled.  With the block
+    (see block_for) it builds the three-leg suffix table t3 and costs
     every whole subtree of five labels in one block call, keeping its
     first cheapest leaf.  The walk enters once, at the root's edge over
     the range, which splits it into whole subtrees and the ragged edges
@@ -369,9 +353,9 @@ def _walk(costs, n: int, start: int, count: int):
         best_cost = best
         visited += 6
 
-    if (block := block_for(count, n)) is not None:
+    if (block := block_for(count)) is not None:
         # each whole subtree of five labels is one block call; rebinding
-        # subtree leaves the walk below the threshold as it was, where a
+        # subtree leaves the walk without the block as it was, where a
         # length test in the walk itself slowed n = 8 solves by ~6%
         walk_subtree = subtree
         # t3[y][z][w]: the last three legs y -> z -> w -> 0 of a tour

@@ -2,20 +2,20 @@
 
 The coordinator spawns every worker interpreter by
 backends.worker_command(), ``python -S -c`` with code that drops the
-cwd's entry from sys.path, reads the code of the package modules it
-runs, and of core's scan block, from the pipe on fd 3 that its argument
-names, puts a finder that runs that code first on sys.meta_path, and
-calls main(): it runs no ``site``, ``.pth`` file, ``sitecustomize``,
-``runpy`` or CLI, compiles neither a package module nor the block, and
-imports nothing from the caller's cwd.  Started without a code pipe, as
-by TSPBENCH_WORKER_BIN, it finds the package through the PYTHONPATH
-that backends._worker_env sets, and compiles the block if a range needs
-it (core.block_for).  It imports the kernel's package modules (core,
-permutation, errors), protocol and this one, and block5 when the code
-pipe carries it; a hybrid worker also imports team for its fork team,
-and no worker imports backends.  None imports dataclasses, typing or
-signal, and none imports json, re or enum unless a line is rejected and
-json.loads words the error.
+cwd's entry from sys.path, reads one map of code, every package module
+a worker may run and core's scan block, from the pipe on fd 3 that its
+argument names, puts a finder that runs that code first on
+sys.meta_path, and calls main(): it runs no ``site``, ``.pth`` file,
+``sitecustomize``, ``runpy`` or CLI, compiles neither a package module
+nor the block, and imports nothing from the caller's cwd.  Started
+without a code pipe, as by TSPBENCH_WORKER_BIN, it finds the package
+through the PYTHONPATH that backends._worker_env sets, and compiles the
+block if a range needs it (core.block_for).  Whatever the map holds, a
+worker imports only what it runs: the kernel's package modules (core,
+permutation, errors), protocol, this one and, given a map, block5; a
+hybrid worker also imports team, and no worker imports backends.
+None imports dataclasses, typing or signal, and none imports json, re
+or enum unless a line is rejected and json.loads words the error.
 
 Tasks arrive one per line and each produces exactly one result line.
 A shutdown message ends the process with exit code 0.  Any protocol

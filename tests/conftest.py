@@ -75,7 +75,7 @@ def kernel_path(path: str):
     for it, answer the block for every range or for none, and the lane
     filter's threshold is 0 or out of reach."""
 
-    def block_for(count, n):
+    def block_for(count):
         return None if path == "walk" else core._block5()
 
     lanes = 0 if path == "lanes" else math.inf

@@ -219,10 +219,10 @@ class TestForkTeamShape:
     ])
     def test_block_is_compiled_before_the_first_fork(self, instance7, monkeypatch, path, held,
                                                      compiled):
-        # With the thresholds as they are (no path forced), an n = 8 team
-        # of 2 scans halves of 2,520 leaves: below _BLOCK_MIN, so a process
-        # that does not hold the block walks, and at least _BLOCK_WARM, so
-        # one that holds it hands it to the member it forks.
+        # With no path forced, an n = 8 team of 2 scans halves of 2,520
+        # leaves: below _BLOCK_MIN, so a process that does not hold the
+        # block walks, and one that holds it uses it on every range and
+        # hands it to the member it forks.
         matrix = instance7 if path else generate_instance(8, 8, symmetric=False)
         monkeypatch.setattr(core, "_block", core._block5() if held else None)
         asked, block5 = [], core._block5
@@ -360,9 +360,9 @@ class TestWorkerInterpreterFailures:
         pids, spawn, build = [], os.posix_spawnp, backends._worker_code
         monkeypatch.setattr(os, "posix_spawnp", lambda *a, **kw: pids.append(spawn(*a, **kw)) or pids[-1])
 
-        def built_after_the_exit(team):
+        def built_after_the_exit():
             os.waitid(os.P_PID, pids[-1], os.WEXITED | os.WNOWAIT)
-            return build(team)
+            return build()
 
         monkeypatch.setattr(backends, "_worker_code", built_after_the_exit)
         with pytest.raises(ExecutionError, match=r"worker 0 exited without a result \(exit code 1\)"):

@@ -130,12 +130,12 @@ HYBRID_TASK = (
 )
 
 
-def printed_by_shipped_worker(monkeypatch, tmp_path, team, statement, expression):
+def printed_by_shipped_worker(monkeypatch, tmp_path, statement, expression):
     """What ``print(expression)`` writes after ``statement`` runs in a
-    worker interpreter that read the shipped code for a fork ``team`` or
-    none: the real command, with ``statement`` in place of its entry into
-    worker.main, and a PYTHONPATH that leads to no package.  The code is
-    written once the worker has started, as _spawn_worker writes it."""
+    worker interpreter that read the shipped code: the real command,
+    with ``statement`` in place of its entry into worker.main, and a
+    PYTHONPATH that leads to no package.  The code is written once the
+    worker has started, as _spawn_worker writes it."""
     monkeypatch.delenv("TSPBENCH_WORKER_BIN", raising=False)
     *cmd, boot = worker_command()
     boot = boot.rpartition("\n")[0]  # all but the line that enters worker.main
@@ -153,7 +153,7 @@ def printed_by_shipped_worker(monkeypatch, tmp_path, team, statement, expression
         os.close(read)
     try:
         with open(write, "wb") as pipe:
-            pipe.write(backends._worker_code(team))
+            pipe.write(backends._worker_code())
         out, err = proc.communicate(timeout=60)
     finally:
         proc.kill()
@@ -178,18 +178,18 @@ def test_shipped_worker_imports_the_same_modules_from_the_shipped_code(monkeypat
     statement = HYBRID_TASK if team else "import tspbench.worker"
     modules = sorted([*WORKER_MODULES, *["tspbench.team"] * team])
     expression = f"{'tuple(result), ' * team}{PACKAGE_LOADERS}"
-    printed = printed_by_shipped_worker(monkeypatch, tmp_path, team, statement, expression)
+    printed = printed_by_shipped_worker(monkeypatch, tmp_path, statement, expression)
     loaders = str([(m, "Shipped", True) for m in modules])
     assert printed == (f"(80, (0, 1, 3, 2, 0), 6) {loaders}" if team else loaders)
 
 
-@pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
-def test_shipped_code_is_the_loaders_own(team):
-    # each module's code, and core's block as the module block5
-    shipped = marshal.loads(backends._worker_code(team))
+def test_shipped_code_is_the_loaders_own():
+    # one map for every worker: each module a worker may import, team's
+    # included, and core's block as the module block5
+    shipped = marshal.loads(backends._worker_code())
     block = shipped.pop("tspbench.block5")
     assert block == core.block_code() and block.co_filename == "<block5>"
-    assert sorted(shipped) == sorted([*WORKER_MODULES, *["tspbench.team"] * team])
+    assert sorted(shipped) == sorted([*WORKER_MODULES, "tspbench.team"])
     for name, code in shipped.items():
         spec = importlib.util.find_spec(name)
         assert code == spec.loader.get_code(name) and code.co_filename == spec.origin
@@ -198,7 +198,7 @@ def test_shipped_code_is_the_loaders_own(team):
 @pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
 def test_shipped_worker_holds_the_block_before_its_first_scan(monkeypatch, tmp_path, team):
     # worker.main, up to the loop that reads tasks: that loop is replaced
-    # by one task of an n = 8 half (2,520 leaves, at least _BLOCK_WARM),
+    # by one task of an n = 8 half (2,520 leaves, short of _BLOCK_MIN),
     # and every compile() call from the start is recorded: none is made.
     matrix = generate_instance(8, 0, symmetric=False)
     statement = (
@@ -210,23 +210,24 @@ def test_shipped_worker_holds_the_block_before_its_first_scan(monkeypatch, tmp_p
         "def first_task():\n"
         "    held = core._block is not None\n"
         f"    result = worker._run_task(Task(8, {matrix.costs!r}, 0, 2520, {2 if team else 1}))\n"
-        "    print(held, core.block_for(2520, 8) is core._block, tuple(result), compiled)\n"
+        "    print(held, core.block_for(2520) is core._block, tuple(result), compiled)\n"
         "    return 0\n"
         "worker.run_worker = first_task\n"
         "worker.main()"
     )
-    printed = printed_by_shipped_worker(monkeypatch, tmp_path, team, statement, "'main returned'")
+    printed = printed_by_shipped_worker(monkeypatch, tmp_path, statement, "'main returned'")
     assert printed == f"True True {tuple(solve_range(matrix, WorkRange(0, 2520)))} []"
 
 
 @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs the pipe capacity")
 @pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
 def test_shipped_code_fits_in_the_pipe(team):
-    # The code pipe, with the room _spawn_worker makes in it, takes the
-    # whole map at once.  A write that waited for the worker to read
-    # would run spawns one after another, and a worker stuck before its
-    # read would hang the coordinator.
-    code = backends._worker_code(team)
+    # One map serves both kinds of worker.  The code pipe, with the room
+    # _spawn_worker makes in it, takes the whole map at once.  A write
+    # that waited for the worker to read would run spawns one after
+    # another, and a worker stuck before its read would hang the
+    # coordinator.
+    code = backends._worker_code()
     read, write = os.pipe()
     try:
         backends._make_room(write, len(code))

@@ -6,10 +6,12 @@ next_permutation.  solve_range must return what the old solve_range
 returned, (cost, path, evaluated), on every range checked here, on
 symmetric, asymmetric and all-ones matrices, with and without the
 fault variable, and on all three kernel paths: the plain walk, the
-5-level blocks, and the blocks behind the lane filter.  The block's 120
-totals and the lane table's 120 lanes are also checked one by one
-against path_cost, the filter must run exactly the blocks that improve
-on the best tour before them, and the table must keep its size bound.
+5-level blocks, and the blocks behind the lane filter (on one below
+n = 7, where no range reaches a block and the three coincide).  The
+block's 120 totals and the lane table's 120 lanes are also checked one
+by one against path_cost, the filter must run exactly the blocks that
+improve on the best tour before them, and the table must keep its size
+bound.
 """
 
 import gc
@@ -99,10 +101,10 @@ def fault(request, monkeypatch):
     return request.param
 
 
-def assert_ranges_match(matrix, ranges):
+def assert_ranges_match(matrix, ranges, paths=KERNEL_PATHS):
     for start, end in ranges:
         expected = reference_range(matrix, start, end)
-        for path in KERNEL_PATHS:
+        for path in paths:
             with kernel_path(path):
                 got = solve_range(matrix, WorkRange(start, end))
             assert got == expected, (path, matrix.n, start, end)
@@ -111,9 +113,38 @@ def assert_ranges_match(matrix, ranges):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_every_range_matches_the_reference(n, kind, fault):
+    # One path: below n = 7 the three coincide (see the next test), and
+    # "lanes" runs the walk through both of the others' dispatches.
     total = factorial(n - 1)
     ranges = [(s, e) for s in range(total + 1) for e in range(s, total + 1)]
-    assert_ranges_match(make_matrix(kind, n), ranges)
+    assert_ranges_match(make_matrix(kind, n), ranges, ["lanes"])
+
+
+@pytest.mark.parametrize("path", ["block", "lanes"])
+def test_no_range_below_seven_cities_reaches_a_block_or_a_lane(path, monkeypatch):
+    # The root's edge splits every range into children of at most four
+    # labels below n = 7, so no whole subtree of five labels reaches a
+    # block or a lane entry, and the blocks and the filter change nothing
+    # there.  A full n = 7 range shows that the counts see both.
+    calls = []
+    block = core._block5()
+    monkeypatch.setattr(core, "_block5", lambda: lambda *a: calls.append("block") or block(*a))
+
+    class CountingTable(core._LaneTable):
+        def __getitem__(self, key):
+            calls.append("lane")
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(core, "_LaneTable", CountingTable)
+    with kernel_path(path):
+        for n in range(2, 7):
+            matrix, total = make_matrix("asymmetric", n), factorial(n - 1)
+            for start in range(total + 1):
+                for end in range(start, total + 1):
+                    solve_range(matrix, WorkRange(start, end))
+        assert calls == []
+        solve_range(make_matrix("asymmetric", 7), WorkRange(0, factorial(6)))
+    assert ("block" if path == "block" else "lane") in calls
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -173,34 +204,26 @@ def test_block_totals_are_the_tour_costs(data):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_ranges_at_the_block_threshold_match_the_reference(kind, fault, monkeypatch):
-    # In a process that does not hold the block (cold), a range one leaf
-    # short of _BLOCK_MIN walks and one at it asks for the block, so the
-    # process holds it from then on; in one that holds it (compiled), the
-    # same holds at _BLOCK_WARM.  Every range starts off a block's
-    # boundary at n = 9.
+    # A process that does not hold the block (cold) walks a range one
+    # leaf short of _BLOCK_MIN and asks for the block on one at it, which
+    # it holds from then on; a process that holds it asks for it once on
+    # every range, however short.  The n = 9 ranges start off a block's
+    # boundary, and 1,260 leaves are the quarter of n = 8 that threads:4
+    # and procs:4 scan.
     asked = []
     block5 = core._block5
     monkeypatch.setattr(core, "_block5", lambda: asked.append(1) or block5())
-    matrix = make_matrix(kind, 9)
-    for held, threshold in ((None, core._BLOCK_MIN), (block5(), core._BLOCK_WARM)):
-        for count, blocks in ((threshold - 1, 0), (threshold, 1)):
-            monkeypatch.setattr(core, "_block", held)
+    cold = [(9, 777, core._BLOCK_MIN - 1, 0), (9, 777, core._BLOCK_MIN, 1)]
+    held = [(9, 777, count, 1) for count in (1, 119, 240, 2_499)] + [(8, 1260, 1260, 1)]
+    for block, cases in ((None, cold), (block5(), held)):
+        for n, start, count, blocks in cases:
+            monkeypatch.setattr(core, "_block", block)
             asked.clear()
-            expected = reference_range(matrix, 777, 777 + count)
-            assert solve_range(matrix, WorkRange(777, 777 + count)) == expected
+            matrix = make_matrix(kind, n)
+            expected = reference_range(matrix, start, start + count)
+            assert solve_range(matrix, WorkRange(start, start + count)) == expected
             assert len(asked) == blocks
-            assert (core._block is not None) == (blocks == 1 or held is not None)
-
-
-@pytest.mark.parametrize("n", [9, 13, 14, 16, 20])
-def test_held_block_needs_a_leaf_per_suffix_table_entry(n, monkeypatch):
-    # once the block is held, a range uses it from _BLOCK_WARM leaves and
-    # from n**3, the suffix table's size, which binds from n = 14
-    monkeypatch.setattr(core, "_block", core._block5())
-    threshold = max(core._BLOCK_WARM, n**3)
-    assert (threshold == core._BLOCK_WARM) == (n <= 13)
-    assert core.block_for(threshold - 1, n) is None
-    assert core.block_for(threshold, n) is core._block
+            assert (core._block is not None) == (blocks == 1)
 
 
 @pytest.mark.parametrize("kind", KINDS)
