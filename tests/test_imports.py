@@ -183,12 +183,15 @@ def test_shipped_worker_imports_the_same_modules_from_the_shipped_code(monkeypat
     assert printed == (f"(80, (0, 1, 3, 2, 0), 6) {loaders}" if team else loaders)
 
 
-def test_shipped_code_is_the_loaders_own():
+@pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
+def test_shipped_code_is_the_loaders_own(team):
     # one map for every worker: each module a worker may import, team's
-    # included, and core's block as the module block5
+    # included whether this kind of worker imports it or not, and core's
+    # block as the module block5
     shipped = marshal.loads(backends._worker_code())
     block = shipped.pop("tspbench.block5")
     assert block == core.block_code() and block.co_filename == "<block5>"
+    assert set([*WORKER_MODULES, *["tspbench.team"] * team]) <= set(shipped)
     assert sorted(shipped) == sorted([*WORKER_MODULES, "tspbench.team"])
     for name, code in shipped.items():
         spec = importlib.util.find_spec(name)
