@@ -6,9 +6,9 @@ solution is a permutation of the remaining labels 1 .. n-1 and the
 solver scans all (n-1)! of them keeping the cheapest.  One kernel,
 ``_walk``, does every scan: a depth-first walk of the permutation tree
 in lexicographic order that carries each prefix's cost down, handing
-each whole subtree of five labels to a block generated at first use,
-and on long ranges first testing all 120 of its tours at once, as the
-lanes of one integer.
+each subtree of five labels, whole or cut by the range, to a block
+generated at first use, and on long ranges first testing all 120 tours
+of a whole one at once, as the lanes of one integer.
 
 Among equal-cost optima the lexicographically smallest permutation
 wins.  Every backend applies the same tie-break, which makes results
@@ -151,13 +151,6 @@ def _fault_enabled() -> bool:
     return bool(os.environ.get(FAULT_ENV_VAR))
 
 
-#: Smallest range that scans in 5-level blocks in a process that does
-#: not hold the block yet.  Compiling it costs ~3 ms, building its n**3
-#: suffix table 0.1 ms at n = 10 and 3 ms at n = 34, and a block leaf
-#: saves ~0.15 us, so a first block pays from 20,000-25,000 leaves
-#: (CPython 3.11 under -S); a one-shot n = 8 solve never compiles it.
-_BLOCK_MIN = 25_000
-
 #: Leaf i of a block is the tour that orders its five labels as
 #: _BLOCK_ORDER[i] (indices into them), in lexicographic order.
 _BLOCK_ORDER = tuple(permutations(range(5)))
@@ -235,9 +228,11 @@ def _block5():
     is ``row``, with the labels a < b < c < d < e.  Each prefix sum of up
     to three labels is computed once and shared by every leaf below it,
     and a leaf adds the last three legs in one subscript of the suffix
-    table t3[y][z][w], the cost of y -> z -> w -> 0.  It is made from
-    _block_code, compiled here at most once per process; a spawned
-    worker gets the block with its code instead (see worker.main)."""
+    table t3[y][z][w], the cost of y -> z -> w -> 0.  It is the one
+    kernel for five remaining labels, so a process makes it at its
+    first walk of n >= 6 cities, from _block_code, compiled here at most
+    once per process; a spawned worker gets the block with its code
+    instead (see worker.main)."""
     global _block, _block_code
     if _block is None:
         if _block_code is None:
@@ -271,14 +266,14 @@ def block_code():
     return _block_code
 
 
-def block_for(count: int):
-    """The block, made now, if a scan of ``count`` leaves uses it; else
-    None.  The one place that picks the path: a process that holds the
-    block uses it on every range, and one that does not compiles it for
-    a range of _BLOCK_MIN leaves or more.  A fork team asks before it
-    forks, so that its members inherit the block instead of each
-    compiling one."""
-    return _block5() if _block is not None or count >= _BLOCK_MIN else None
+def block_for(n: int):
+    """The block, made now, if a tour of ``n`` cities has five labels
+    left after city 0 (n >= 6); else None.  A fact about the tree, not a
+    tuned threshold: every walk of n >= 6 cities costs each subtree of
+    five labels, whole or cut by its range, in one block call.  A fork
+    team asks before it forks, so that its members inherit the block
+    instead of each compiling one."""
+    return _block5() if n >= 6 else None
 
 
 def _walk(costs, n: int, start: int, count: int):
@@ -287,21 +282,23 @@ def _walk(costs, n: int, start: int, count: int):
 
     The walk descends over the sorted remaining labels (Knuth, TAOCP
     Vol. 4A, 7.2.1.2), so a leaf adds only its last legs to the cost of
-    its prefix, and the last three levels are unrolled.  With the block
-    (see block_for) it builds the three-leg suffix table t3 and costs
-    every whole subtree of five labels in one block call, keeping its
-    first cheapest leaf.  The walk enters once, at the root's edge over
-    the range, which splits it into whole subtrees and the ragged edges
-    that lead to them (a full range is all subtrees); factorial
-    arithmetic skips every subtree outside it.  The strict ``<`` keeps
-    the first optimum visited, the smallest in lexicographic order.
+    its prefix.  It builds the three-leg suffix table t3 and costs every
+    subtree of five labels in one block call (see block_for), keeping
+    its first cheapest leaf.  The walk enters once, at the root's edge
+    over the range, which splits it into whole subtrees and the ragged
+    edges that lead to them (a full range is all subtrees); factorial
+    arithmetic skips every subtree outside it, and an edge of five
+    labels keeps the slice of its block's totals that lies in the range.
+    Below n = 6 the walk recurses down to its leaves.  The strict ``<``
+    keeps the first optimum visited, the smallest in lexicographic
+    order.
 
     A range of _LANES_MIN leaves or more at n <= _LANES_MAX_N also
     builds a lane table (_LaneTable), whose entry for a last city and
     five labels holds the suffix costs of all 120 orderings, one to a
     40-bit lane of one int (SWAR: Lamport, CACM 18(8), 1975).  Before a
-    block, one multiply-add puts cost - best_cost + 2**39 into each lane
-    (the bounds are stated at _LANE), and one mask tests all 120 top
+    whole block, one multiply-add puts cost - best_cost + 2**39 into each
+    lane (the bounds are stated at _LANE), and one mask tests all 120 top
     bits: a lane's is clear exactly when its tour costs strictly less
     than the best so far.  With none clear, no tour of the block can
     replace the best under the strict ``<``, and the block counts its
@@ -312,6 +309,9 @@ def _walk(costs, n: int, start: int, count: int):
     home = [row[0] for row in costs]
     # tails[y][z]: the last two legs y -> z -> 0 of a tour
     tails = [[row[z] + home[z] for z in range(n)] for row in costs]
+    # t3[y][z][w]: the last three legs y -> z -> w -> 0 of a tour
+    t3 = [[[cost + tail for tail in tails[z]] for z, cost in enumerate(row)] for row in costs]
+    block = block_for(n)
     prefix = [0]
     best_cost = INFINITE_COST
     best_path = None
@@ -321,78 +321,53 @@ def _walk(costs, n: int, start: int, count: int):
         # every ordering of ``rem`` after ``prefix``, whose cost is ``cost``
         nonlocal best_cost, best_path, visited
         row = costs[last]
-        if len(rem) != 3:
-            if not rem:  # a leaf below a ragged edge, or of a tour of n < 4
-                visited += 1
-                if cost + home[last] < best_cost:
-                    best_cost, best_path = cost + home[last], (*prefix, 0)
-            for i, x in enumerate(rem):
-                prefix.append(x)
-                subtree(x, cost + row[x], rem[:i] + rem[i + 1 :])
-                prefix.pop()
-            return
-        a, b, c = rem
-        ra, rb, rc = costs[a], costs[b], costs[c]
-        ta, tb, tc = tails[a], tails[b], tails[c]
-        best = best_cost
-        x = cost + row[a]
-        if x + ra[b] + tb[c] < best:
-            best, best_path = x + ra[b] + tb[c], (*prefix, a, b, c, 0)
-        if x + ra[c] + tc[b] < best:
-            best, best_path = x + ra[c] + tc[b], (*prefix, a, c, b, 0)
-        x = cost + row[b]
-        if x + rb[a] + ta[c] < best:
-            best, best_path = x + rb[a] + ta[c], (*prefix, b, a, c, 0)
-        if x + rb[c] + tc[a] < best:
-            best, best_path = x + rb[c] + tc[a], (*prefix, b, c, a, 0)
-        x = cost + row[c]
-        if x + rc[a] + ta[b] < best:
-            best, best_path = x + rc[a] + ta[b], (*prefix, c, a, b, 0)
-        if x + rc[b] + tb[a] < best:
-            best, best_path = x + rc[b] + tb[a], (*prefix, c, b, a, 0)
-        best_cost = best
-        visited += 6
-
-    if (block := block_for(count)) is not None:
-        # each whole subtree of five labels is one block call; rebinding
-        # subtree leaves the walk without the block as it was, where a
-        # length test in the walk itself slowed n = 8 solves by ~6%
-        walk_subtree = subtree
-        # t3[y][z][w]: the last three legs y -> z -> w -> 0 of a tour
-        t3 = [[[cost + tail for tail in tails[z]] for z, cost in enumerate(row)] for row in costs]
-
-        def subtree(last, cost, rem):
-            nonlocal best_cost, best_path, visited
-            if len(rem) != 5:
-                return walk_subtree(last, cost, rem)
-            totals = block(costs, t3, cost, costs[last], *rem)
+        if len(rem) == 5:
+            totals = block(costs, t3, cost, row, *rem)
             low = min(totals)
             if low < best_cost:
                 order = _BLOCK_ORDER[totals.index(low)]
                 best_cost, best_path = low, (*prefix, *[rem[i] for i in order], 0)
             visited += 120
+            return
+        if not rem:  # a leaf of a tour of n < 6
+            visited += 1
+            if cost + home[last] < best_cost:
+                best_cost, best_path = cost + home[last], (*prefix, 0)
+        for i, x in enumerate(rem):
+            prefix.append(x)
+            subtree(x, cost + row[x], rem[:i] + rem[i + 1 :])
+            prefix.pop()
 
-        if count >= _LANES_MIN and n <= _LANES_MAX_N:
-            # a block runs only when a lane of its entry is below the best
-            block_subtree = subtree
-            table = _LaneTable(costs)
+    if count >= _LANES_MIN and n <= _LANES_MAX_N:
+        # a whole block runs only when a lane of its entry is below the best
+        block_subtree = subtree
+        table = _LaneTable(costs)
 
-            def subtree(last, cost, rem):
-                nonlocal visited
-                if len(rem) == 5:
-                    a, b, c, d, e = rem
-                    lanes = table[(1 << a | 1 << b | 1 << c | 1 << d | 1 << e) << 4 | last]
-                    bound = best_cost if best_cost < _LANE_CAP else _LANE_CAP
-                    if (lanes + (cost - bound + _LANE_SHIFT) * _LANE_ONES[5]) & _LANE_HIGH == _LANE_HIGH:
-                        visited += 120
-                        return
-                block_subtree(last, cost, rem)
+        def subtree(last, cost, rem):
+            nonlocal visited
+            if len(rem) == 5:
+                a, b, c, d, e = rem
+                lanes = table[(1 << a | 1 << b | 1 << c | 1 << d | 1 << e) << 4 | last]
+                bound = best_cost if best_cost < _LANE_CAP else _LANE_CAP
+                if (lanes + (cost - bound + _LANE_SHIFT) * _LANE_ONES[5]) & _LANE_HIGH == _LANE_HIGH:
+                    visited += 120
+                    return
+            block_subtree(last, cost, rem)
 
     def edge(last, cost, rem, lo, hi):
         # leaves lo .. hi-1 of the subtree below ``prefix``; a child wholly
         # inside them is a subtree, one cut by lo or hi an edge again
-        size = factorial(len(rem) - 1)  # leaves below each child
+        nonlocal best_cost, best_path, visited
         row = costs[last]
+        if len(rem) == 5:  # the block's totals in [lo, hi)
+            totals = block(costs, t3, cost, row, *rem)
+            low = min(totals[lo:hi])
+            if low < best_cost:
+                order = _BLOCK_ORDER[totals.index(low, lo, hi)]
+                best_cost, best_path = low, (*prefix, *[rem[i] for i in order], 0)
+            visited += hi - lo
+            return
+        size = factorial(len(rem) - 1)  # leaves below each child
         for i in range(lo // size, (hi - 1) // size + 1):
             x = rem[i]
             child_lo = max(lo - i * size, 0)

@@ -150,11 +150,10 @@ def solve_interval_team(matrix: CostMatrix, work: WorkRange, threads: int) -> So
     workers.  The interval is split by the same quotient/remainder rule
     as the global partitioner, so a hybrid worker's local split lines
     up exactly with the flat global partition.  The caller is member 0:
-    it forks members 1 .. threads-1 and scans the first range inline.
-    When core's block serves that range, the longest, the block is made
-    before the forks, so no member compiles its own."""
+    it forks members 1 .. threads-1 and scans the first range inline,
+    having made core's block first if n needs it, so no member does."""
     sub = [WorkRange(work.start + r.start, work.start + r.end) for r in partition(work.count, threads)]
-    block_for(sub[0].count)
+    block_for(matrix.n)
     # os.fork() is 0 only in the child, which _team_member never lets return
     return reduce_results(_run_workers(
         matrix, sub, lambda w, fd: os.fork() or _team_member(matrix, w, fd), team=True

@@ -10,12 +10,12 @@ sys.meta_path, and calls main(): it runs no ``site``, ``.pth`` file,
 nor the block, and imports nothing from the caller's cwd.  Started
 without a code pipe, as by TSPBENCH_WORKER_BIN, it finds the package
 through the PYTHONPATH that backends._worker_env sets, and compiles the
-block if a range needs it (core.block_for).  Whatever the map holds, a
-worker imports only what it runs: the kernel's package modules (core,
-permutation, errors), protocol, this one and, given a map, block5; a
-hybrid worker also imports team, and no worker imports backends.
-None imports dataclasses, typing or signal, and none imports json, re
-or enum unless a line is rejected and json.loads words the error.
+block at its first task of n >= 6 cities (core.block_for).  Whatever
+the map holds, a worker imports only what it runs: the kernel's package
+modules (core, permutation, errors), protocol, this one and, given a
+map, block5; a hybrid worker also imports team, and no worker imports
+backends.  None imports dataclasses, typing or signal, and none imports
+json, re or enum unless a line is rejected and json.loads words it.
 
 Tasks arrive one per line and each produces exactly one result line.
 A shutdown message ends the process with exit code 0.  Any protocol

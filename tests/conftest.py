@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from tspbench import core, team
+from tspbench import core
 from tspbench.core import CostMatrix
 from tspbench.errors import ValidationError
 from tspbench.permutation import factorial
@@ -61,26 +61,17 @@ def brute_force_best(rows):
     return cost, (0, *perm, 0)
 
 
-#: The scan kernel's three paths: the plain walk for every range, however
-#: long; 5-level blocks for every range, however short; and those blocks
-#: behind the lane filter for every range that may build its table
-#: (n <= core._LANES_MAX_N).
-KERNEL_PATHS = ("walk", "block", "lanes")
+#: The scan kernel's two paths: 5-level blocks for every range, however
+#: long; and those blocks behind the lane filter for every range that
+#: may build its table (n <= core._LANES_MAX_N).
+KERNEL_PATHS = ("block", "lanes")
 
 
 @contextlib.contextmanager
 def kernel_path(path: str):
-    """Context in which every scan takes ``path`` of KERNEL_PATHS, whether
-    or not the process holds the block: core.block_for, and team's name
-    for it, answer the block for every range or for none, and the lane
-    filter's threshold is 0 or out of reach."""
-
-    def block_for(count):
-        return None if path == "walk" else core._block5()
-
-    lanes = 0 if path == "lanes" else math.inf
-    with mock.patch.multiple(core, block_for=block_for, _LANES_MIN=lanes), \
-            mock.patch.object(team, "block_for", block_for):
+    """Context in which every scan takes ``path`` of KERNEL_PATHS: the
+    lane filter's threshold is out of reach or 0."""
+    with mock.patch.object(core, "_LANES_MIN", 0 if path == "lanes" else math.inf):
         yield
 
 

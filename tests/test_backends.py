@@ -1,4 +1,3 @@
-import contextlib
 import os
 import signal
 import time
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_ones, kernel_path
+from conftest import all_ones
 from tspbench import backends, core
 from tspbench.backends import (
     BackendSpec,
@@ -211,26 +210,23 @@ class TestForkTeamShape:
         work = WorkRange(start, data.draw(st.integers(start, total), label="end"))
         assert solve_interval_team(matrix, work, threads) == solve_range(matrix, work)
 
-    @pytest.mark.parametrize("path,held,compiled", [
-        pytest.param("block", False, True, id="block-True"),
-        pytest.param("walk", False, False, id="walk-False"),
-        pytest.param(None, False, False, id="cold-False"),
-        pytest.param(None, True, True, id="warm-True"),
+    @pytest.mark.parametrize("n,held,compiled", [
+        pytest.param(8, False, True, id="cold-True"),
+        pytest.param(5, False, False, id="cold-False"),
+        pytest.param(8, True, True, id="warm-True"),
     ])
-    def test_block_is_compiled_before_the_first_fork(self, instance7, monkeypatch, path, held,
-                                                     compiled):
-        # With no path forced, an n = 8 team of 2 scans halves of 2,520
-        # leaves: below _BLOCK_MIN, so a process that does not hold the
-        # block walks, and one that holds it uses it on every range and
-        # hands it to the member it forks.
-        matrix = instance7 if path else generate_instance(8, 8, symmetric=False)
+    def test_block_is_compiled_before_the_first_fork(self, monkeypatch, n, held, compiled):
+        # A cold n = 8 team of 2 makes the block once, before it forks,
+        # and the caller walks its half of 2,520 leaves with it; a team
+        # that holds it asks for it once and hands it on; no n = 5 walk
+        # has five labels left, so that team never makes it.
+        matrix = generate_instance(n, n, symmetric=False)
         monkeypatch.setattr(core, "_block", core._block5() if held else None)
         asked, block5 = [], core._block5
         monkeypatch.setattr(core, "_block5", lambda: asked.append(1) or block5())
         forks = counting_forks(monkeypatch, lambda: (len(asked), core._block is not None))
-        work = WorkRange(0, factorial(matrix.n - 1))
-        with kernel_path(path) if path else contextlib.nullcontext():
-            assert solve_interval_team(matrix, work, 2) == solve_range(matrix, work)
+        work = WorkRange(0, factorial(n - 1))
+        assert solve_interval_team(matrix, work, 2) == solve_range(matrix, work)
         assert forks == [(int(compiled), compiled)]
         assert (core._block is not None) == compiled
 

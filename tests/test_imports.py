@@ -201,8 +201,8 @@ def test_shipped_code_is_the_loaders_own(team):
 @pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
 def test_shipped_worker_holds_the_block_before_its_first_scan(monkeypatch, tmp_path, team):
     # worker.main, up to the loop that reads tasks: that loop is replaced
-    # by one task of an n = 8 half (2,520 leaves, short of _BLOCK_MIN),
-    # and every compile() call from the start is recorded: none is made.
+    # by one task of an n = 8 half (2,520 leaves), and every compile()
+    # call from the start is recorded: none is made.
     matrix = generate_instance(8, 0, symmetric=False)
     statement = (
         "import builtins\n"
@@ -213,7 +213,7 @@ def test_shipped_worker_holds_the_block_before_its_first_scan(monkeypatch, tmp_p
         "def first_task():\n"
         "    held = core._block is not None\n"
         f"    result = worker._run_task(Task(8, {matrix.costs!r}, 0, 2520, {2 if team else 1}))\n"
-        "    print(held, core.block_for(2520) is core._block, tuple(result), compiled)\n"
+        "    print(held, core.block_for(8) is core._block, tuple(result), compiled)\n"
         "    return 0\n"
         "worker.run_worker = first_task\n"
         "worker.main()"

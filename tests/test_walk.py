@@ -5,13 +5,13 @@ reference: it recomputes every tour from scratch and steps with
 next_permutation.  solve_range must return what the old solve_range
 returned, (cost, path, evaluated), on every range checked here, on
 symmetric, asymmetric and all-ones matrices, with and without the
-fault variable, and on all three kernel paths: the plain walk, the
-5-level blocks, and the blocks behind the lane filter (on one below
-n = 7, where no range reaches a block and the three coincide).  The
-block's 120 totals and the lane table's 120 lanes are also checked one
-by one against path_cost, the filter must run exactly the blocks that
-improve on the best tour before them, and the table must keep its size
-bound.
+fault variable, and on both kernel paths: the 5-level blocks, and
+the blocks behind the lane filter (on one below n = 7, where the filter
+meets no whole block and the two coincide).  The block's 120 totals and
+the lane table's 120 lanes are also checked one by one against
+path_cost, the filter must run exactly the blocks that the range cuts
+or that improve on the best tour before them, and the table must keep
+its size bound.
 """
 
 import gc
@@ -113,26 +113,29 @@ def assert_ranges_match(matrix, ranges, paths=KERNEL_PATHS):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_every_range_matches_the_reference(n, kind, fault):
-    # One path: below n = 7 the three coincide (see the next test), and
-    # "lanes" runs the walk through both of the others' dispatches.
+    # One path: below n = 7 the two coincide (see the next test).  At
+    # n = 6 every nonempty range is one slice [lo, hi) of one block.
     total = factorial(n - 1)
     ranges = [(s, e) for s in range(total + 1) for e in range(s, total + 1)]
     assert_ranges_match(make_matrix(kind, n), ranges, ["lanes"])
 
 
-@pytest.mark.parametrize("path", ["block", "lanes"])
-def test_no_range_below_seven_cities_reaches_a_block_or_a_lane(path, monkeypatch):
-    # The root's edge splits every range into children of at most four
-    # labels below n = 7, so no whole subtree of five labels reaches a
-    # block or a lane entry, and the blocks and the filter change nothing
-    # there.  A full n = 7 range shows that the counts see both.
+@pytest.mark.parametrize("path", KERNEL_PATHS)
+def test_six_city_ranges_are_one_block_call_and_none_below_seven_reach_a_lane(path, monkeypatch):
+    # The root's edge holds five labels at n = 6, so every nonempty range
+    # there is one block call, of which the walk keeps a slice; below it
+    # no range calls the block.  The filter stands only before a whole
+    # subtree of five labels, and no range below n = 7 holds one, so none
+    # looks up a lane entry.  A full n = 7 range shows that the counts
+    # see both.
     calls = []
     block = core._block5()
-    monkeypatch.setattr(core, "_block5", lambda: lambda *a: calls.append("block") or block(*a))
+    monkeypatch.setattr(core, "_block5", lambda: lambda *a: calls.append(("block", len(a[0])))
+                        or block(*a))
 
     class CountingTable(core._LaneTable):
         def __getitem__(self, key):
-            calls.append("lane")
+            calls.append(("lane", len(self.costs)))
             return super().__getitem__(key)
 
     monkeypatch.setattr(core, "_LaneTable", CountingTable)
@@ -141,10 +144,13 @@ def test_no_range_below_seven_cities_reaches_a_block_or_a_lane(path, monkeypatch
             matrix, total = make_matrix("asymmetric", n), factorial(n - 1)
             for start in range(total + 1):
                 for end in range(start, total + 1):
+                    calls.clear()
                     solve_range(matrix, WorkRange(start, end))
-        assert calls == []
+                    expected = [("block", 6)] if n == 6 and end > start else []
+                    assert calls == expected, (n, start, end)
+        calls.clear()
         solve_range(make_matrix("asymmetric", 7), WorkRange(0, factorial(6)))
-    assert ("block" if path == "block" else "lane") in calls
+    assert ("block", 7) in calls and (("lane", 7) in calls) == (path == "lanes")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -203,30 +209,6 @@ def test_block_totals_are_the_tour_costs(data):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_ranges_at_the_block_threshold_match_the_reference(kind, fault, monkeypatch):
-    # A process that does not hold the block (cold) walks a range one
-    # leaf short of _BLOCK_MIN and asks for the block on one at it, which
-    # it holds from then on; a process that holds it asks for it once on
-    # every range, however short.  The n = 9 ranges start off a block's
-    # boundary, and 1,260 leaves are the quarter of n = 8 that threads:4
-    # and procs:4 scan.
-    asked = []
-    block5 = core._block5
-    monkeypatch.setattr(core, "_block5", lambda: asked.append(1) or block5())
-    cold = [(9, 777, core._BLOCK_MIN - 1, 0), (9, 777, core._BLOCK_MIN, 1)]
-    held = [(9, 777, count, 1) for count in (1, 119, 240, 2_499)] + [(8, 1260, 1260, 1)]
-    for block, cases in ((None, cold), (block5(), held)):
-        for n, start, count, blocks in cases:
-            monkeypatch.setattr(core, "_block", block)
-            asked.clear()
-            matrix = make_matrix(kind, n)
-            expected = reference_range(matrix, start, start + count)
-            assert solve_range(matrix, WorkRange(start, start + count)) == expected
-            assert len(asked) == blocks
-            assert (core._block is not None) == (blocks == 1)
-
-
-@pytest.mark.parametrize("kind", KINDS)
 def test_serial_is_the_full_range_and_ignores_the_fault_variable(kind, monkeypatch):
     matrix = make_matrix(kind, 8)
     expected = reference_range(matrix, 0, factorial(7))
@@ -262,26 +244,24 @@ def max_matrix(n):
     return CostMatrix([[0 if i == j else MAX_COST for j in range(n)] for i in range(n)])
 
 
-def blocks_that_improve(matrix, start, end):
-    """How many whole subtrees of five labels in [start, end) hold a tour
-    cheaper than every tour before them in the range, over the negated
-    costs when the fault variable is set: the blocks the lane filter must
-    run, at n >= 7."""
+def blocks_that_run(matrix, start, end):
+    """How many block calls the lane filter leaves on [start, end) at
+    n >= 7, over the negated costs when the fault variable is set: one
+    for each subtree of five labels that the range cuts, and one for
+    each whole one that holds a tour cheaper than every tour before it
+    in the range."""
     sign = -1 if os.environ.get(FAULT_ENV_VAR) else 1
     perm = unrank(start, range(1, matrix.n))
-    best, low, improve = INFINITE_COST, INFINITE_COST, 0
+    best, low, calls = INFINITE_COST, INFINITE_COST, 0
     for index in range(start, end):
         cost = sign * path_cost(perm, matrix)
         first = index - index % 120
-        if first < start or first + 120 > end:  # a leaf the walk visits alone
-            best = min(best, cost)
-        else:
-            low = min(low, cost) if index > first else cost
-            if index == first + 119:
-                improve += low < best
-                best = min(best, low)
+        low = min(low, cost) if index > max(first, start) else cost
+        if index == min(first + 119, end - 1):  # the last leaf of a block in the range
+            calls += first < start or first + 120 > end or low < best
+            best = min(best, low)
         next_permutation(perm)
-    return improve
+    return calls
 
 
 def counting_block(monkeypatch):
@@ -322,7 +302,8 @@ LANE_CASES = {
 def test_lane_filter_runs_exactly_the_blocks_that_improve(case, fault, monkeypatch):
     # lane-0 and lane-119: the one optimum is the first or the last leaf
     # of a block, and 1 below the best before it; equal-optima: the
-    # block of the later of two optima must not run
+    # block of the later of two optima must not run.  The range 1234 ..
+    # 4321 cuts a block at each end, and each of those runs.
     matrix = LANE_CASES[case]
     total = factorial(7)
     calls = counting_block(monkeypatch)
@@ -331,7 +312,7 @@ def test_lane_filter_runs_exactly_the_blocks_that_improve(case, fault, monkeypat
         with kernel_path("lanes"):
             got = solve_range(matrix, WorkRange(start, end))
         assert got == reference_range(matrix, start, end)
-        assert len(calls) == blocks_that_improve(matrix, start, end)
+        assert len(calls) == blocks_that_run(matrix, start, end)
     if case in LANE_TOURS and not fault:
         with kernel_path("lanes"):
             assert solve_serial(matrix) == SolveResult(2, (0, *LANE_TOURS[case], 0), total)
@@ -339,7 +320,8 @@ def test_lane_filter_runs_exactly_the_blocks_that_improve(case, fault, monkeypat
 
 def test_largest_lanes_keep_the_first_tour(fault, monkeypatch):
     # every tour at n = 13 costs 13 * MAX_COST, negated under the fault
-    # variable: only the first block of a range that starts on one runs
+    # variable: of a range's blocks only the first runs, and the last
+    # too when the range cuts it
     n = core._LANES_MAX_N
     matrix = max_matrix(n)
     calls = counting_block(monkeypatch)
@@ -348,7 +330,7 @@ def test_largest_lanes_keep_the_first_tour(fault, monkeypatch):
         with kernel_path("lanes"):
             got = solve_range(matrix, WorkRange(start, end))
         assert got == reference_range(matrix, start, end)
-        assert len(calls) == blocks_that_improve(matrix, start, end) == (start % 120 == 0)
+        assert len(calls) == blocks_that_run(matrix, start, end) == (2 if start % 120 else 1)
 
 
 def spy_tables(monkeypatch):
