@@ -44,9 +44,10 @@ MAX_CITIES = 34
 KERNEL = "prefix-walk+block5+tail3+lanes"
 
 #: Environment variable for fault-injection tests: when set (non-empty)
-#: solve_range walks the negated costs, so it keeps the costliest tour
-#: instead of the cheapest and any harness that checks backends against
-#: the serial baseline must fail loudly.  Never set this outside tests.
+#: solve_range walks the CostMatrix of MAX_COST - c, so it keeps the
+#: costliest tour instead of the cheapest and any harness that checks
+#: backends against the serial baseline must fail loudly.  Never set
+#: this outside tests.
 FAULT_ENV_VAR = "TSPBENCH_FAULT_INVERT"
 
 
@@ -168,21 +169,18 @@ _LANES_MIN = 80_000
 _LANES_MAX_N = 13
 
 #: A lane is 40 bits of an int, in _BLOCK_ORDER from the lowest.  An
-#: entry of _LaneTable holds in each lane a suffix cost plus _LANE_BIAS,
-#: and _walk adds cost - min(best_cost, _LANE_CAP) + _LANE_SHIFT to each
-#: of the 120 lanes of an entry of five labels, which makes lane i
-#: total_i - bound + 2**39: its top bit is clear exactly when tour i
-#: costs less than the bound.  The bounds hold for the negated costs of
-#: FAULT_ENV_VAR too: a tour costs at most 34 * MAX_COST < 2**35 in size
-#: and a suffix of six legs less than 2**33, so an entry's lanes lie in
-#: (2**33, 2**35), the bound in (-2**35, 2**36], and a sum's lanes in
-#: (2**39 - 3 * 2**35, 2**39 + 2**36): each stays in [0, 2**40), and no
-#: lane carries into or borrows from the next.  _LANE_ONES[k] has a 1 in
-#: each of the lowest k! lanes, and _LANE_HIGH the top bit of 120.
+#: entry of _LaneTable holds a suffix cost in each lane, and _walk adds
+#: cost - best_cost + _LANE_SHIFT to each of the 120 lanes of an entry
+#: of five labels, which makes lane i total_i - best_cost + 2**39: its
+#: top bit is clear exactly when tour i costs less than the best.  Costs
+#: are never negative, so an entry's lanes lie in [0, 6 * MAX_COST], the
+#: best in [0, 34 * MAX_COST + 1], and as 34 * MAX_COST + 1 < 2**35 a
+#: sum's lanes lie in (2**39 - 2**35, 2**39 + 2**35): each stays in
+#: [0, 2**40), and no lane carries into or borrows from the next.
+#: _LANE_ONES[k] has a 1 in each of the lowest k! lanes, and _LANE_HIGH
+#: the top bit of 120.
 _LANE = 40
-_LANE_BIAS = 1 << 34
-_LANE_CAP = 1 << 36
-_LANE_SHIFT = (1 << _LANE - 1) - _LANE_BIAS
+_LANE_SHIFT = 1 << _LANE - 1
 _LANE_ONES = tuple(((1 << _LANE * factorial(k)) - 1) // ((1 << _LANE) - 1) for k in range(6))
 _LANE_HIGH = _LANE_ONES[5] << _LANE - 1
 
@@ -190,14 +188,15 @@ _LANE_HIGH = _LANE_ONES[5] << _LANE - 1
 class _LaneTable(dict):
     """One walk's lane table: table[mask << 4 | last] holds, in lane i,
     the cost of last -> the ith ordering of the labels set in mask -> 0,
-    plus _LANE_BIAS, with the orderings in lexicographic order.  An entry
-    of k labels is built at its first lookup, from the entries of k - 1:
-    the sum over its labels x_i of (costs[last][x_i] * ones +
+    with the orderings in lexicographic order; the costs are a
+    CostMatrix's, so each lane is in [0, 6 * MAX_COST] (see _LANE).  An
+    entry of k labels is built at its first lookup, from the entries of
+    k - 1: the sum over its labels x_i of (costs[last][x_i] * ones +
     table[x_i, rem - x_i]) << 40 * i * (k-1)!.  A table with n > 16
     would need a wider key."""
 
     def __init__(self, costs):
-        super().__init__((x, row[0] + _LANE_BIAS) for x, row in enumerate(costs))
+        super().__init__((x, row[0]) for x, row in enumerate(costs))
         self.costs = costs
 
     def __missing__(self, key):
@@ -276,22 +275,22 @@ def block_for(n: int):
     return _block5() if n >= 6 else None
 
 
-def _walk(costs, n: int, start: int, count: int):
-    """Best tour among the permutations of 1 .. n-1 with lexicographic
-    index in [start, start + count), as (best_cost, closed_path).
+def _walk(matrix: CostMatrix, start: int, count: int):
+    """Best tour of ``matrix`` among the permutations of 1 .. n-1 with
+    lexicographic index in [start, start + count), as (best_cost,
+    closed_path), the best starting at n * MAX_COST + 1, above any tour.
 
     The walk descends over the sorted remaining labels (Knuth, TAOCP
     Vol. 4A, 7.2.1.2), so a leaf adds only its last legs to the cost of
-    its prefix.  It builds the three-leg suffix table t3 and costs every
-    subtree of five labels in one block call (see block_for), keeping
-    its first cheapest leaf.  The walk enters once, at the root's edge
-    over the range, which splits it into whole subtrees and the ragged
-    edges that lead to them (a full range is all subtrees); factorial
-    arithmetic skips every subtree outside it, and an edge of five
-    labels keeps the slice of its block's totals that lies in the range.
+    its prefix.  At n >= 6 it builds the three-leg suffix table t3 and
+    costs every subtree of five labels in one block call (block_for),
+    keeping its first cheapest leaf.  The walk enters once, at the root's
+    edge over the range, which splits it into whole subtrees and the
+    ragged edges that lead to them (a full range is all subtrees);
+    factorial arithmetic skips every subtree outside it, and an edge of
+    five labels keeps the slice of its block's totals in the range.
     Below n = 6 the walk recurses down to its leaves.  The strict ``<``
-    keeps the first optimum visited, the smallest in lexicographic
-    order.
+    keeps the first optimum visited, the smallest in lexicographic order.
 
     A range of _LANES_MIN leaves or more at n <= _LANES_MAX_N also
     builds a lane table (_LaneTable), whose entry for a last city and
@@ -306,14 +305,14 @@ def _walk(costs, n: int, start: int, count: int):
     still gets its own sum and its own comparison, nothing is pruned,
     and (cost, path) and the count are those of the blocks alone.
     """
+    costs, n = matrix.costs, matrix.n
     home = [row[0] for row in costs]
-    # tails[y][z]: the last two legs y -> z -> 0 of a tour
-    tails = [[row[z] + home[z] for z in range(n)] for row in costs]
-    # t3[y][z][w]: the last three legs y -> z -> w -> 0 of a tour
-    t3 = [[[cost + tail for tail in tails[z]] for z, cost in enumerate(row)] for row in costs]
     block = block_for(n)
+    if block:  # t3[y][z][w]: the last three legs y -> z -> w -> 0 of a tour
+        tails = [[row[z] + home[z] for z in range(n)] for row in costs]  # y -> z -> 0
+        t3 = [[[cost + tail for tail in tails[z]] for z, cost in enumerate(row)] for row in costs]
     prefix = [0]
-    best_cost = INFINITE_COST
+    best_cost = n * MAX_COST + 1
     best_path = None
     visited = 0
 
@@ -348,8 +347,7 @@ def _walk(costs, n: int, start: int, count: int):
             if len(rem) == 5:
                 a, b, c, d, e = rem
                 lanes = table[(1 << a | 1 << b | 1 << c | 1 << d | 1 << e) << 4 | last]
-                bound = best_cost if best_cost < _LANE_CAP else _LANE_CAP
-                if (lanes + (cost - bound + _LANE_SHIFT) * _LANE_ONES[5]) & _LANE_HIGH == _LANE_HIGH:
+                if (lanes + (cost - best_cost + _LANE_SHIFT) * _LANE_ONES[5]) & _LANE_HIGH == _LANE_HIGH:
                     visited += 120
                     return
             block_subtree(last, cost, rem)
@@ -393,10 +391,8 @@ def solve_serial(matrix: CostMatrix) -> SolveResult:
     """Scan all (n-1)! tours in lexicographic order and keep the
     cheapest; the reference every parallel backend is checked against.
     """
-    n = matrix.n
-    total = factorial(n - 1)
-    best_cost, best_path = _walk(matrix.costs, n, 0, total)
-    return SolveResult(best_cost, best_path, total)
+    total = factorial(matrix.n - 1)
+    return SolveResult(*_walk(matrix, 0, total), total)
 
 
 def solve_range(matrix: CostMatrix, work: WorkRange) -> SolveResult:
@@ -415,12 +411,14 @@ def solve_range(matrix: CostMatrix, work: WorkRange) -> SolveResult:
         )
     if work.count == 0:
         return EMPTY_RESULT
-    costs = matrix.costs
-    if _fault_enabled():  # keep the first costliest tour: walk negated costs
-        costs = tuple(tuple(-cost for cost in row) for row in costs)
-    best_cost, best_path = _walk(costs, n, work.start, work.count)
-    # abs() undoes the negation: a real tour cost is never negative
-    return SolveResult(abs(best_cost), best_path, work.count)
+    if not _fault_enabled():
+        return SolveResult(*_walk(matrix, work.start, work.count), work.count)
+    # keep the first costliest tour: a tour of cost c costs n * MAX_COST - c
+    # on the matrix of MAX_COST - c (diagonal 0), whose walk keeps the first cheapest
+    flipped = CostMatrix([[0 if i == j else MAX_COST - c for j, c in enumerate(row)]
+                          for i, row in enumerate(matrix.costs)])
+    best_cost, best_path = _walk(flipped, work.start, work.count)
+    return SolveResult(n * MAX_COST - best_cost, best_path, work.count)
 
 
 def reduce_results(results: Iterable[SolveResult]) -> SolveResult:

@@ -1,13 +1,15 @@
+import itertools
 import os
 import signal
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_ones
-from tspbench import backends, core
+from tspbench import backends, core, team
 from tspbench.backends import (
     BackendSpec,
     hybrid_ranges,
@@ -345,6 +347,21 @@ class TestWorkerInterpreterFailures:
         for _ in range(10):
             with pytest.raises(ExecutionError, match=r"without a result \(exit code 3\)"):
                 solve_message_passing(four_city_matrix, 2)
+        assert_no_child_left()
+
+    def test_worker_that_lingers_after_its_reply_is_killed_at_the_deadline(
+        self, tmp_path, monkeypatch, four_city_matrix
+    ):
+        # A right answer, then no exit.  team's clock jumps 61 s at each
+        # reading, so its second one is past the 60 s that _reap allows.
+        body = claiming_worker((0, 1, 3, 2, 0), 80).replace("sys.exit(0)", "__import__('time').sleep(60)")
+        install_fake_worker(tmp_path, monkeypatch, body)
+        clock = itertools.count(0, 61)
+        monkeypatch.setattr(team, "time", types.SimpleNamespace(monotonic=lambda: next(clock),
+                                                                sleep=time.sleep))
+        with pytest.raises(ExecutionError, match=r"^worker 0 did not exit within 60 s of its reply$"):
+            solve_message_passing(four_city_matrix, 1)
+        assert next(clock) == 122  # _reap read it twice
         assert_no_child_left()
 
     def test_worker_that_exits_before_reading_its_code_is_reported(self, monkeypatch, four_city_matrix):

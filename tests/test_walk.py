@@ -37,12 +37,14 @@ from tspbench.core import (
     CostMatrix,
     SolveResult,
     path_cost,
+    reduce_results,
     solve_range,
     solve_serial,
 )
-from tspbench.errors import ValidationError
+from tspbench.backends import parse_backend_spec, solve
+from tspbench.errors import ExecutionError, ValidationError
 from tspbench.instances import generate_instance
-from tspbench.permutation import WorkRange, factorial, unrank
+from tspbench.permutation import WorkRange, factorial, partition, unrank
 
 
 def _scan(costs, perm: list[int], count: int):
@@ -189,23 +191,61 @@ def test_drawn_ranges_match_the_reference(data):
         assert_ranges_match(matrix, [(start, end)])
 
 
+def flipped(matrix):
+    """The CostMatrix of MAX_COST - c, diagonal 0, which solve_range walks
+    under the fault variable: a tour of cost c on ``matrix`` costs
+    n * MAX_COST - c on it."""
+    return CostMatrix([[0 if i == j else MAX_COST - c for j, c in enumerate(row)]
+                       for i, row in enumerate(matrix.costs)])
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_block_totals_are_the_tour_costs(data):
-    # sign -1 is the negated matrix that the fault variable walks
+    # flip walks the matrix of MAX_COST - c that the fault variable walks
     n = data.draw(st.integers(6, 12), label="n")
     matrix = make_matrix(data.draw(st.sampled_from(KINDS), label="kind"), n)
-    sign = data.draw(st.sampled_from([1, -1]), label="sign")
+    flip = data.draw(st.booleans(), label="flip")
     labels = data.draw(st.permutations(range(1, n)), label="labels")
     prefix, rem = labels[: n - 6], sorted(labels[n - 6 :])
-    costs = tuple(tuple(sign * cost for cost in row) for row in matrix.costs)
+    costs = (flipped(matrix) if flip else matrix).costs
     t3 = [[[costs[y][z] + costs[z][w] + costs[w][0] for w in range(n)] for z in range(n)]
           for y in range(n)]
     cost = sum(costs[y][z] for y, z in zip((0, *prefix), prefix))
     last = prefix[-1] if prefix else 0
     totals = core._block5()(costs, t3, cost, costs[last], *rem)
-    assert totals == tuple(sign * path_cost((*prefix, *[rem[i] for i in order]), matrix)
+    sign, offset = (-1, n * MAX_COST) if flip else (1, 0)
+    assert totals == tuple(offset + sign * path_cost((*prefix, *[rem[i] for i in order]), matrix)
                            for order in core._BLOCK_ORDER)
+
+
+def test_the_kernel_walks_only_cost_matrices(fault, monkeypatch):
+    # Every matrix _walk is given is a CostMatrix of costs in [0, MAX_COST],
+    # healthy or not, from serial, a range, and both members of a fork
+    # team: the forked one inherits the spy, and its error fails the solve.
+    walk, calls = core._walk, []
+
+    def spy(matrix, *rest):
+        if type(matrix) is not CostMatrix or not all(
+                0 <= cost <= MAX_COST for row in matrix.costs for cost in row):
+            raise TypeError(f"the kernel was given {matrix!r}")
+        calls.append(matrix.n)
+        return walk(matrix, *rest)
+
+    monkeypatch.setattr(core, "_walk", spy)
+    matrix, total = make_matrix("asymmetric", 8), factorial(7)
+    halves = [reference_range(matrix, r.start, r.end) for r in partition(total, 2)]
+    for path in KERNEL_PATHS:
+        with kernel_path(path):
+            assert solve_serial(matrix).evaluated == total
+            assert solve_range(matrix, WorkRange(0, total)) == reference_range(matrix, 0, total)
+            assert solve(matrix, parse_backend_spec("threads:2")) == reduce_results(halves)
+    assert calls == [8] * 3 * len(KERNEL_PATHS)  # the forked member's are its own
+    caller = os.getpid()  # a forked member given bare costs fails the solve
+    monkeypatch.setattr(core, "_walk", lambda m, *rest: spy(m if os.getpid() == caller else m.costs,
+                                                            *rest))
+    with pytest.raises(ExecutionError, match="worker 1 failed: TypeError: the kernel was given"):
+        solve(matrix, parse_backend_spec("threads:2"))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -224,20 +264,20 @@ def test_serial_is_the_full_range_and_ignores_the_fault_variable(kind, monkeypat
 @given(data=st.data())
 def test_lane_entries_are_the_suffix_costs(data):
     # lane i of an entry is last -> the ith ordering of its five labels
-    # -> 0, plus the bias; sign -1 is the negated matrix of the fault
-    # variable, and MAX_COST makes the largest lanes
+    # -> 0; flip walks the matrix of MAX_COST - c that the fault variable
+    # walks, and MAX_COST makes the largest lanes
     n = data.draw(st.integers(6, core._LANES_MAX_N), label="n")
     kind = data.draw(st.sampled_from([*KINDS, "max"]), label="kind")
     matrix = max_matrix(n) if kind == "max" else make_matrix(kind, n)
-    sign = data.draw(st.sampled_from([1, -1]), label="sign")
+    flip = data.draw(st.booleans(), label="flip")
     labels = data.draw(st.permutations(range(1, n)), label="labels")
     rem = sorted(labels[:5])
     last = data.draw(st.sampled_from([0, *labels[5:]]), label="last")
-    costs = tuple(tuple(sign * cost for cost in row) for row in matrix.costs)
+    costs = (flipped(matrix) if flip else matrix).costs
     lanes = core._LaneTable(costs)[sum(1 << x for x in rem) << 4 | last]
     cities = [(last, *[rem[i] for i in order], 0) for order in core._BLOCK_ORDER]
     assert [lanes >> core._LANE * i & (1 << core._LANE) - 1 for i in range(120)] == [
-        sum(costs[y][z] for y, z in zip(tour, tour[1:])) + core._LANE_BIAS for tour in cities]
+        sum(costs[y][z] for y, z in zip(tour, tour[1:])) for tour in cities]
 
 
 def max_matrix(n):
