@@ -12,10 +12,12 @@ newline) holding full-precision numbers.  Its keys are the records'
 field names, and a timing adds the mean, minimum and median of its
 runs.  The reader parses only the plan, environment, solutions and each
 timing's runs and re-derives the rest (means, minima, medians, metrics
-rows); a file holding anything else, or a number of another JSON type
-(4.0 or true for 4), is rejected, and parse/emit round-trips are
-byte-identical.  The reader states the JSON types, and the writer runs
-it on every text it emits, so it never emits a report its reader refuses.
+rows); a file holding anything else, a number of another JSON type
+(4.0 or true for 4), timings other than one per size and backend of its
+plan, or solutions other than one per size, in the plan's order, is
+rejected, and parse/emit round-trips are byte-identical.  The reader
+states the JSON types, and the writer runs it on every text it emits,
+so it never emits a report its reader refuses.
 CSV: raw rows as ``backend,n,p,run_index,seconds``
 with seconds to 6 decimals; the metrics table as
 ``backend,n,p,mean_seconds,speedup,efficiency,karp_flatt`` with the
@@ -240,6 +242,11 @@ def report_from_json(text: str) -> Report:
                 for r in data["timings"]
             ),
         )
+        if [(r.backend, r.n, r.p) for r in report.timings] != [
+                (s.kind, n, s.parallel_elements) for n in plan.n_values for s in plan.backends]:
+            raise ValidationError("report JSON 'timings' are not one per plan size and backend")
+        if [s.n for s in report.solutions] != list(plan.n_values):
+            raise ValidationError("report JSON 'solutions' are not one per plan size")
         derived = _payload(report)
         for key in sorted(data.keys() | derived.keys()):
             # compared as text, because 1 == 1.0 == True in Python but not in JSON

@@ -4,11 +4,11 @@ A problem instance is an immutable square matrix of non-negative
 integer trip costs.  Tours start and end at city 0, so a candidate
 solution is a permutation of the remaining labels 1 .. n-1 and the
 solver scans all (n-1)! of them keeping the cheapest.  One kernel,
-``_walk``, does every scan: a depth-first walk of the permutation tree
-in lexicographic order that carries each prefix's cost down, handing
-each subtree of five labels, whole or cut by the range, to a block
-generated at first use, and on long ranges first testing all 120 tours
-of a whole one at once, as the lanes of one integer.
+``_walk``, does every scan: one recursive walk of the permutation tree
+in lexicographic order that carries each prefix's cost down, hands each
+subtree of five labels, whole or cut by the range, to a block generated
+at first use, and on long ranges first tests all 120 tours of a whole
+one at once, as the lanes of one integer, in the loop of its parent.
 
 Among equal-cost optima the lexicographically smallest permutation
 wins.  Every backend applies the same tie-break, which makes results
@@ -161,10 +161,10 @@ _BLOCK_ORDER = tuple(permutations(range(5)))
 #: subtree of k labels, and its entry costs about one block call to
 #: build, so a range must span subtrees of eight labels or more to repay
 #: its table; no n <= 9 range is that long.  Block held, process_time,
-#: medians of 15, filter / blocks over n = 10..13: 2,520 leaves 2.2-4.1x,
-#: 40,320 0.81-1.56x, 80,640 0.48-0.94x, 181,440 0.53-0.65x.  A full
-#: n = 13 table holds (n-1)*C(n-2, 5) = 5,544 entries of five labels,
-#: 12,289 in all, and under 6 MB with its keys.
+#: medians of 15, filter / blocks on a mid-space range over n = 10..13:
+#: 2,520 leaves 2.8-3.5x, 40,320 0.78-1.66x, 80,640 0.75-0.91x, 181,440
+#: 0.50-0.59x.  A full n = 13 table holds (n-1)*C(n-2, 5) = 5,544
+#: entries of five labels, 12,289 in all, and under 6 MB with its keys.
 _LANES_MIN = 80_000
 _LANES_MAX_N = 13
 
@@ -282,28 +282,29 @@ def _walk(matrix: CostMatrix, start: int, count: int):
 
     The walk descends over the sorted remaining labels (Knuth, TAOCP
     Vol. 4A, 7.2.1.2), so a leaf adds only its last legs to the cost of
-    its prefix.  At n >= 6 it builds the three-leg suffix table t3 and
-    costs every subtree of five labels in one block call (block_for),
-    keeping its first cheapest leaf.  The walk enters once, at the root's
-    edge over the range, which splits it into whole subtrees and the
-    ragged edges that lead to them (a full range is all subtrees);
-    factorial arithmetic skips every subtree outside it, and an edge of
-    five labels keeps the slice of its block's totals in the range.
-    Below n = 6 the walk recurses down to its leaves.  The strict ``<``
+    its prefix.  One recursive walk(last, cost, rem, lo, hi) covers
+    leaves lo .. hi-1 below a prefix, from the root's [start, start +
+    count) down; factorial arithmetic skips the children outside them,
+    and only the first and the last child can be cut.  Five labels left
+    is one block call (block_for; n >= 6, with the three-leg suffix table
+    t3), of whose totals the walk keeps the first cheapest in [lo, hi).
+    One label left is the leaf of a tour of n < 6.  The strict ``<``
     keeps the first optimum visited, the smallest in lexicographic order.
 
     A range of _LANES_MIN leaves or more at n <= _LANES_MAX_N also
     builds a lane table (_LaneTable), whose entry for a last city and
     five labels holds the suffix costs of all 120 orderings, one to a
-    40-bit lane of one int (SWAR: Lamport, CACM 18(8), 1975).  Before a
-    whole block, one multiply-add puts cost - best_cost + 2**39 into each
-    lane (the bounds are stated at _LANE), and one mask tests all 120 top
-    bits: a lane's is clear exactly when its tour costs strictly less
-    than the best so far.  With none clear, no tour of the block can
-    replace the best under the strict ``<``, and the block counts its
-    120 leaves; with any clear, the block runs as above.  So each tour
-    still gets its own sum and its own comparison, nothing is pruned,
-    and (cost, path) and the count are those of the blocks alone.
+    40-bit lane of one int (SWAR: Lamport, CACM 18(8), 1975).  A node of
+    six labels builds its label mask once and, in its loop, tests each
+    whole child before calling it: one multiply-add puts cost - best_cost
+    + 2**39 into each lane of the child's entry (the bounds are stated at
+    _LANE), and one mask tests all 120 top bits: a lane's is clear
+    exactly when its tour costs strictly less than the best so far.  With
+    none clear, no tour of the child can replace the best under the
+    strict ``<``, and the node counts its 120 leaves; with any clear, the
+    child runs its block as above.  So each tour still gets its own sum
+    and its own comparison, nothing is pruned, and (cost, path) and the
+    count are those of the blocks alone.
     """
     costs, n = matrix.costs, matrix.n
     home = [row[0] for row in costs]
@@ -315,73 +316,50 @@ def _walk(matrix: CostMatrix, start: int, count: int):
     best_cost = n * MAX_COST + 1
     best_path = None
     visited = 0
+    table = _LaneTable(costs) if count >= _LANES_MIN and n <= _LANES_MAX_N else None
 
-    def subtree(last, cost, rem):
-        # every ordering of ``rem`` after ``prefix``, whose cost is ``cost``
+    def walk(last, cost, rem, lo, hi):
+        # leaves lo .. hi-1 of the orderings of ``rem`` after ``prefix``,
+        # whose cost is ``cost``; a child wholly inside them gets [0, size)
         nonlocal best_cost, best_path, visited
         row = costs[last]
-        if len(rem) == 5:
-            totals = block(costs, t3, cost, row, *rem)
+        if len(rem) == 5:  # the block's totals in [lo, hi); a full slice is the tuple itself
+            totals = block(costs, t3, cost, row, *rem)[lo:hi]
             low = min(totals)
             if low < best_cost:
-                order = _BLOCK_ORDER[totals.index(low)]
-                best_cost, best_path = low, (*prefix, *[rem[i] for i in order], 0)
-            visited += 120
-            return
-        if not rem:  # a leaf of a tour of n < 6
-            visited += 1
-            if cost + home[last] < best_cost:
-                best_cost, best_path = cost + home[last], (*prefix, 0)
-        for i, x in enumerate(rem):
-            prefix.append(x)
-            subtree(x, cost + row[x], rem[:i] + rem[i + 1 :])
-            prefix.pop()
-
-    if count >= _LANES_MIN and n <= _LANES_MAX_N:
-        # a whole block runs only when a lane of its entry is below the best
-        block_subtree = subtree
-        table = _LaneTable(costs)
-
-        def subtree(last, cost, rem):
-            nonlocal visited
-            if len(rem) == 5:
-                a, b, c, d, e = rem
-                lanes = table[(1 << a | 1 << b | 1 << c | 1 << d | 1 << e) << 4 | last]
-                if (lanes + (cost - best_cost + _LANE_SHIFT) * _LANE_ONES[5]) & _LANE_HIGH == _LANE_HIGH:
-                    visited += 120
-                    return
-            block_subtree(last, cost, rem)
-
-    def edge(last, cost, rem, lo, hi):
-        # leaves lo .. hi-1 of the subtree below ``prefix``; a child wholly
-        # inside them is a subtree, one cut by lo or hi an edge again
-        nonlocal best_cost, best_path, visited
-        row = costs[last]
-        if len(rem) == 5:  # the block's totals in [lo, hi)
-            totals = block(costs, t3, cost, row, *rem)
-            low = min(totals[lo:hi])
-            if low < best_cost:
-                order = _BLOCK_ORDER[totals.index(low, lo, hi)]
+                order = _BLOCK_ORDER[lo + totals.index(low)]
                 best_cost, best_path = low, (*prefix, *[rem[i] for i in order], 0)
             visited += hi - lo
             return
+        if len(rem) == 1:  # the leaf of a tour of n < 6
+            x = rem[0]
+            visited += 1
+            if cost + row[x] + home[x] < best_cost:
+                best_cost, best_path = cost + row[x] + home[x], (*prefix, x, 0)
+            return
         size = factorial(len(rem) - 1)  # leaves below each child
-        for i in range(lo // size, (hi - 1) // size + 1):
+        first, final = lo // size, (hi - 1) // size
+        lanes = size == 120 and table is not None
+        if lanes:  # a whole child runs only when a lane of its entry is below the best
+            mask = sum(1 << x + 4 for x in rem)
+        for i in range(first, final + 1):
             x = rem[i]
-            child_lo = max(lo - i * size, 0)
-            child_hi = min(hi - i * size, size)
+            child_lo = lo - i * size if i == first else 0
+            child_hi = hi - i * size if i == final else size
+            if lanes and child_hi - child_lo == 120 and (
+                    table[mask ^ 1 << x + 4 | x] + (cost + row[x] - best_cost + _LANE_SHIFT)
+                    * _LANE_ONES[5]) & _LANE_HIGH == _LANE_HIGH:
+                visited += 120
+                continue
             prefix.append(x)
-            if child_hi - child_lo == size:
-                subtree(x, cost + row[x], rem[:i] + rem[i + 1 :])
-            else:
-                edge(x, cost + row[x], rem[:i] + rem[i + 1 :], child_lo, child_hi)
+            walk(x, cost + row[x], rem[:i] + rem[i + 1 :], child_lo, child_hi)
             prefix.pop()
 
-    edge(0, 0, tuple(range(1, n)), start, start + count)
-    # Each closure that recurses is in a reference cycle through its own
-    # cell.  Breaking the cycles frees t3 and the tables now, instead of
-    # at a cyclic collection that may come many solves later.
-    subtree = edge = None
+    walk(0, 0, tuple(range(1, n)), start, start + count)
+    # walk recurses, so it is in a reference cycle through its own cell.
+    # Breaking it frees t3 and the table now, instead of at a cyclic
+    # collection that may come many solves later.
+    walk = table = None
     if visited != count:
         raise ExecutionError(f"scan visited {visited} permutations, expected {count}")
     return best_cost, best_path

@@ -464,8 +464,12 @@ def _with_placeholder(change, value):
         _with_placeholder(lambda data: data.update(plan="PLACEHOLDER"), "[" * 100_000),
         _with_placeholder(lambda data: data["timings"][0].update(runs=[]), ""),
         _with_placeholder(lambda data: data["timings"][1].update(p=10**400), ""),
+        _with_placeholder(lambda data: (data["timings"].pop(2), data["metrics"].pop(0)), ""),
+        _with_placeholder(lambda data: data["solutions"][0].update(n=9), ""),
+        _with_placeholder(lambda data: data["solutions"].append(data["solutions"][0]), ""),
     ],
-    ids=["oversized-integer", "deep-nesting", "no-runs", "p-beyond-float"],
+    ids=["oversized-integer", "deep-nesting", "no-runs", "p-beyond-float",
+         "no-hybrid-timing", "solution-outside-plan", "two-solutions-one-size"],
 )
 def test_unusual_json_report_is_validation_error(tmp_path, capsys, text):
     with pytest.raises(ValidationError):

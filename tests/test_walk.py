@@ -124,9 +124,9 @@ def test_every_range_matches_the_reference(n, kind, fault):
 
 @pytest.mark.parametrize("path", KERNEL_PATHS)
 def test_six_city_ranges_are_one_block_call_and_none_below_seven_reach_a_lane(path, monkeypatch):
-    # The root's edge holds five labels at n = 6, so every nonempty range
-    # there is one block call, of which the walk keeps a slice; below it
-    # no range calls the block.  The filter stands only before a whole
+    # The root holds five labels at n = 6, so every nonempty range there
+    # is one block call, of which the walk keeps a slice; below it no
+    # range calls the block.  The filter stands only before a whole
     # subtree of five labels, and no range below n = 7 holds one, so none
     # looks up a lane entry.  A full n = 7 range shows that the counts
     # see both.
