@@ -17,7 +17,7 @@ module that defines it:
 * ``tspbench.worker``: the worker-mode entry point;
 * ``tspbench.bench``: benchmark sweeps and their reports;
 * ``tspbench.metrics``: speedup, efficiency and the Karp-Flatt metric;
-* ``tspbench.errors``: the exception hierarchy;
+* ``tspbench.errors``: the exception hierarchy and the record factory;
 * ``tspbench.cli``: the command-line interface.
 """
 

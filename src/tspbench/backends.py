@@ -32,10 +32,9 @@ import marshal
 import os
 import sys
 from _signal import SIGPIPE  # not signal, whose enum wrappers would cost every import
-from collections import namedtuple
 
 from .core import CostMatrix, SolveResult, block_code, reduce_results, solve_serial
-from .errors import ValidationError
+from .errors import ValidationError, record
 from .permutation import WorkRange, factorial, partition
 from .protocol import shutdown_message, task_message
 from .team import _run_workers, solve_interval_team
@@ -48,14 +47,13 @@ KINDS = ("serial", "shared_memory", "message_passing", "hybrid")
 WORKER_BIN_ENV_VAR = "TSPBENCH_WORKER_BIN"
 
 
-class BackendSpec(namedtuple("BackendSpec", "kind threads processes")):
+class BackendSpec(record("BackendSpec", "kind threads processes")):
     """One execution configuration, checked like CostMatrix.
     ``parallel_elements`` is the p used for speedup and efficiency
     accounting: threads for shared memory, processes for message
     passing, and their product for hybrid."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, kind: str, threads: int | None = None, processes: int | None = None):
         if kind not in KINDS:

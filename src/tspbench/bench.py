@@ -30,15 +30,13 @@ from __future__ import annotations
 import json
 import os
 import platform
-import reprlib
 import time
-from collections import namedtuple
 from collections.abc import Iterable
 from statistics import median
 
 from .backends import BackendSpec, solve
 from .core import KERNEL, CostMatrix, SolveResult, check_city_count
-from .errors import CorrectnessError, ExecutionError, ValidationError
+from .errors import CorrectnessError, ExecutionError, ValidationError, quoted, record
 from .instances import generate_instance
 from .metrics import MetricsRow, TimingRecord, build_metrics_table
 
@@ -48,14 +46,12 @@ RAW_CSV_HEADER = "backend,n,p,run_index,seconds"
 METRICS_CSV_HEADER = ",".join(MetricsRow._fields)
 
 
-class BenchPlan(namedtuple("BenchPlan", "n_values backends repetitions warmup seed symmetric",
-                           defaults=(5, 1, 0, True))):
+class BenchPlan(record("BenchPlan", "n_values backends repetitions warmup seed symmetric")):
     """What to benchmark, checked like CostMatrix.  The serial backend is
     always run first for every n (prepended when absent) because the
     metrics need its mean as the baseline."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, n_values: Iterable[int], backends: Iterable[BackendSpec],
                 repetitions: int = 5, warmup: int = 1, seed: int = 0, symmetric: bool = True):
@@ -81,9 +77,9 @@ class BenchPlan(namedtuple("BenchPlan", "n_values backends repetitions warmup se
 
 #: The (deterministic) answer for one problem size, kept in the report
 #: so consumers can check reproducibility without re-solving.
-InstanceSolution = namedtuple("InstanceSolution", "n optimal_cost optimal_path")
+InstanceSolution = record("InstanceSolution", "n optimal_cost optimal_path")
 
-Report = namedtuple("Report", "schema_version plan environment solutions timings metrics")
+Report = record("Report", "schema_version plan environment solutions timings metrics")
 
 
 def _normalized_backends(specs: Iterable[BackendSpec]) -> tuple[BackendSpec, ...]:
@@ -195,7 +191,7 @@ def _typed(value, kind: type, key: str):
     """``value`` if its JSON type is exactly ``kind``: true is no int, 4.0 no int, 1 no float."""
     if type(value) is not kind:
         raise ValidationError(
-            f"report JSON {key!r} must be {kind.__name__}, got {reprlib.repr(value)}"
+            f"report JSON {key!r} must be {kind.__name__}, got {quoted(value)}"
         )
     return value
 
@@ -209,7 +205,7 @@ def report_from_json(text: str) -> Report:
         raise ValidationError(f"report JSON must be an object, got {type(data).__name__}")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(
-            f"unsupported report schema {reprlib.repr(data.get('schema_version'))}, "
+            f"unsupported report schema {quoted(data.get('schema_version'))}, "
             f"expected {SCHEMA_VERSION!r}"
         )
     try:

@@ -16,15 +16,10 @@ identical bit for bit regardless of how the permutation space was
 partitioned or in which order partial results were combined.
 """
 
-from __future__ import annotations
-
-import os
-import reprlib
-from collections import namedtuple
-from collections.abc import Iterable, Sequence
+import posix
 from itertools import permutations
 
-from .errors import ExecutionError, ValidationError
+from .errors import ExecutionError, ValidationError, quoted, record
 from .permutation import WorkRange, factorial
 
 #: Hard cap on one trip cost, enforced at construction.  34 legs of
@@ -60,16 +55,15 @@ def check_city_count(n: int) -> None:
         raise ValidationError(f"city count must be in 2 .. {MAX_CITIES}, got {n}")
 
 
-class CostMatrix(namedtuple("CostMatrix", "costs")):
+class CostMatrix(record("CostMatrix", "costs")):
     """Square grid of non-negative integer trip costs with a zero
-    diagonal; costs[i][j] need not equal costs[j][i].  A named tuple
-    checked whenever one is built, unpickled or copied, and safe to
-    share read-only across any number of workers."""
+    diagonal; costs[i][j] need not equal costs[j][i].  A record (see
+    errors.record) checked whenever one is built, unpickled or copied,
+    and safe to share read-only across any number of workers."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __new__(cls, costs: Iterable[Iterable[int]]):
+    def __new__(cls, costs: "Iterable[Iterable[int]]"):
         rows = tuple(tuple(row) for row in costs)
         n = len(rows)
         check_city_count(n)
@@ -85,7 +79,7 @@ class CostMatrix(namedtuple("CostMatrix", "costs")):
                     raise ValidationError(f"cost[{i}][{j}] is negative: {cost}")
                 if cost > MAX_COST:
                     raise ValidationError(
-                        f"cost[{i}][{j}] = {reprlib.repr(cost)} exceeds the maximum {MAX_COST}"
+                        f"cost[{i}][{j}] = {quoted(cost)} exceeds the maximum {MAX_COST}"
                     )
             if row[i] != 0:
                 raise ValidationError(f"diagonal entry [{i}][{i}] must be 0, got {row[i]}")
@@ -96,16 +90,15 @@ class CostMatrix(namedtuple("CostMatrix", "costs")):
         return len(self.costs)
 
 
-class SolveResult(namedtuple("SolveResult", "optimal_cost optimal_path evaluated")):
+class SolveResult(record("SolveResult", "optimal_cost optimal_path evaluated")):
     """Optimal cost and closed tour, plus how many permutations were
     examined to find them.  The empty sentinel (infinite cost, empty
     path, zero evaluated) stands for "no permutations scanned" and is
     the identity of result reduction.  Checked like CostMatrix."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
-    def __new__(cls, optimal_cost: int, optimal_path: Iterable[int], evaluated: int):
+    def __new__(cls, optimal_cost: int, optimal_path: "Iterable[int]", evaluated: int):
         optimal_path = tuple(optimal_path)
         if optimal_cost < 0:
             raise ValidationError(f"negative tour cost {optimal_cost}")
@@ -124,7 +117,7 @@ class SolveResult(namedtuple("SolveResult", "optimal_cost optimal_path evaluated
 EMPTY_RESULT = SolveResult(INFINITE_COST, (), 0)
 
 
-def path_cost(perm: Sequence[int], matrix: CostMatrix) -> int:
+def path_cost(perm: "Sequence[int]", matrix: CostMatrix) -> int:
     """Cost of the closed tour 0 -> perm[0] -> ... -> perm[-1] -> 0.
 
     ``perm`` must be a permutation of 1 .. n-1.
@@ -149,7 +142,7 @@ def path_cost(perm: Sequence[int], matrix: CostMatrix) -> int:
 
 
 def _fault_enabled() -> bool:
-    return bool(os.environ.get(FAULT_ENV_VAR))
+    return bool(posix.environ.get(FAULT_ENV_VAR.encode()))
 
 
 #: Leaf i of a block is the tour that orders its five labels as
@@ -399,7 +392,7 @@ def solve_range(matrix: CostMatrix, work: WorkRange) -> SolveResult:
     return SolveResult(n * MAX_COST - best_cost, best_path, work.count)
 
 
-def reduce_results(results: Iterable[SolveResult]) -> SolveResult:
+def reduce_results(results: "Iterable[SolveResult]") -> SolveResult:
     """Combine per-worker results: minimum by (cost, path), with
     evaluation counts summed so the reduced result reports the full
     amount of work performed.  The minimum is associative, commutative

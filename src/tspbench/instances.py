@@ -12,10 +12,8 @@ which is what makes golden regression costs meaningful.
 
 from __future__ import annotations
 
-import reprlib
-
 from .core import CostMatrix, check_city_count
-from .errors import ValidationError
+from .errors import ValidationError, quoted
 
 _MASK64 = (1 << 64) - 1
 
@@ -91,7 +89,7 @@ def parse_instance(text: str) -> CostMatrix:
     try:
         n = _parse_int(head)
     except ValueError:
-        head = reprlib.repr(head)
+        head = quoted(head)
         raise ValidationError(f"line 1: expected the city count, got {head}") from None
     check_city_count(n)
     if len(lines) - 1 != n:

@@ -3,12 +3,11 @@ fraction (Karp-Flatt metric) over timing records."""
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from math import isfinite
 from statistics import fmean
 
-from .errors import ValidationError
+from .errors import ValidationError, record
 
 
 def speedup(t_serial: float, t_parallel: float) -> float:
@@ -41,13 +40,12 @@ def karp_flatt(psi: float, p: int) -> float:
     return (1.0 / psi - 1.0 / p) / (1.0 - 1.0 / p)
 
 
-class TimingRecord(namedtuple("TimingRecord", "backend n p runs mean_time")):
+class TimingRecord(record("TimingRecord", "backend n p runs mean_time")):
     """Wall times for one (backend, n, p) configuration; mean_time is
     the arithmetic mean of the individual runs and is what the derived
     metrics use.  Checked like CostMatrix."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, backend: str, n: int, p: int, runs: Iterable[float], mean_time: float):
         for name, value in (("n", n), ("p", p)):
@@ -75,7 +73,7 @@ class TimingRecord(namedtuple("TimingRecord", "backend n p runs mean_time")):
 
 #: Derived metrics for one configuration.  karp_flatt is None when
 #: p == 1, where the serial fraction is undefined.
-MetricsRow = namedtuple("MetricsRow", "backend n p mean_seconds speedup efficiency karp_flatt")
+MetricsRow = record("MetricsRow", "backend n p mean_seconds speedup efficiency karp_flatt")
 
 
 def build_metrics_table(

@@ -7,12 +7,7 @@ bits; that keeps indices portable on the wire protocol and rules out
 silently unbounded work requests.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-from collections.abc import Sequence
-
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, record
 
 _FACTORIALS = [1]  # 0! .. 34!, the largest that fits in 128 bits
 for _i in range(1, 35):
@@ -36,7 +31,7 @@ def factorial(n: int) -> int:
     return _FACTORIALS[n]
 
 
-def unrank(index: int, items: Sequence) -> list:
+def unrank(index: int, items: "Sequence") -> list:
     """The permutation at position ``index`` in the lexicographic order
     of all permutations of ``items`` (sorted ascending, no duplicates).
 
@@ -63,14 +58,13 @@ def unrank(index: int, items: Sequence) -> list:
     return out
 
 
-class WorkRange(namedtuple("WorkRange", "start end")):
+class WorkRange(record("WorkRange", "start end")):
     """Half-open interval [start, end) of permutation indices owned by
     one worker.  Empty ranges (start == end) are legal no-op
-    assignments, which keeps sweeps over worker counts uniform.  A named
-    tuple checked whenever one is built, unpickled or copied."""
+    assignments, which keeps sweeps over worker counts uniform.  A record
+    checked whenever one is built, unpickled or copied."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks too
 
     def __new__(cls, start: int, end: int):
         if start < 0 or end < start:

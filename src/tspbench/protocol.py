@@ -3,8 +3,8 @@
 One message per line, UTF-8, compact encoding.  Every message embeds
 the protocol version as ``"v"`` and receivers reject other versions.
 Permutation indices travel as decimal strings because they may exceed
-64 bits.  Errors quote a received value through reprlib, which shortens
-it, so a hostile line cannot make a long error.
+64 bits.  An error quotes a received value by errors.quoted, whose
+reprlib shortens it, so a hostile line cannot make a long error.
 
 Both ends encode and decode with CPython's ``_json``, the C accelerator
 that the ``json`` package loads, configured exactly as ``json.dumps(...,
@@ -14,14 +14,10 @@ the error texts are json's own, but a worker skips importing ``json`` and
 the ``re`` and ``enum`` it pulls in.
 """
 
-from __future__ import annotations
-
 import _json
-import reprlib
-from collections import namedtuple
 
 from .core import SolveResult
-from .errors import ProtocolError
+from .errors import ProtocolError, quoted, record
 from .permutation import WorkRange
 
 PROTOCOL_VERSION = 1
@@ -32,7 +28,7 @@ _MESSAGE_TYPES = ("task", "result", "error", "shutdown")
 
 #: A decoded task message: the full instance plus the assigned index
 #: range and the size of the worker's local team.
-Task = namedtuple("Task", "n matrix start end threads")
+Task = record("Task", "n matrix start end threads")
 
 
 #: What json.loads skips around a value; any other trailing text is an error.
@@ -125,13 +121,13 @@ def parse_message(line: str) -> dict:
     except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
         raise ProtocolError(f"malformed message line: {exc}") from None
     if not isinstance(msg, dict):
-        raise ProtocolError(f"message is not an object: {reprlib.repr(line.strip())}")
+        raise ProtocolError(f"message is not an object: {quoted(line.strip())}")
     version = msg.get("v")
     if version != PROTOCOL_VERSION:
-        raise ProtocolError(f"unsupported protocol version {reprlib.repr(version)}")
+        raise ProtocolError(f"unsupported protocol version {quoted(version)}")
     mtype = msg.get("type")
     if mtype not in _MESSAGE_TYPES:
-        raise ProtocolError(f"unknown message type {reprlib.repr(mtype)}")
+        raise ProtocolError(f"unknown message type {quoted(mtype)}")
     return msg
 
 
@@ -139,7 +135,7 @@ def _require_int(msg: dict, key: str, minimum: int) -> int:
     value = msg.get(key)
     if type(value) is not int or value < minimum:
         raise ProtocolError(
-            f"field {key!r} must be an integer >= {minimum}, got {reprlib.repr(value)}"
+            f"field {key!r} must be an integer >= {minimum}, got {quoted(value)}"
         )
     return value
 
@@ -151,7 +147,7 @@ def _require_index(msg: dict, key: str) -> int:
             return int(value)
     except ValueError:  # more digits than int() converts
         pass
-    raise ProtocolError(f"field {key!r} must be a decimal string, got {reprlib.repr(value)}")
+    raise ProtocolError(f"field {key!r} must be a decimal string, got {quoted(value)}")
 
 
 def decode_task(msg: dict) -> Task:
@@ -176,6 +172,6 @@ def decode_result(msg: dict) -> SolveResult:
     cost = _require_int(msg, "cost", 0)
     path = msg.get("path")
     if not isinstance(path, list) or any(type(c) is not int for c in path):
-        raise ProtocolError(f"field 'path' must be a list of integers, got {reprlib.repr(path)}")
+        raise ProtocolError(f"field 'path' must be a list of integers, got {quoted(path)}")
     evaluated = _require_index(msg, "evaluated")
     return SolveResult(cost, tuple(path), evaluated)

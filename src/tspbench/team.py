@@ -13,9 +13,7 @@ rest on failure.  This module is apart from backends so that a hybrid
 worker imports only the code its team runs.
 """
 
-from __future__ import annotations
-
-import os
+import posix
 import sys
 import time
 from _signal import SIGKILL  # signal's enum wrappers cost a hybrid worker's start
@@ -66,31 +64,31 @@ def _member_line(matrix: CostMatrix, work: WorkRange) -> str:
 
 
 def _team_member(matrix: CostMatrix, work: WorkRange, fd: int):
-    """Forked child: write one reply line to ``fd`` and leave by os._exit,
+    """Forked child: write one reply line to ``fd`` and leave by posix._exit,
     never returning into the caller's stack nor flushing inherited
     stdio.  Its stdout becomes ``fd`` first: in a hybrid worker the
     inherited stdout is the coordinator's reply pipe, which must see EOF
     as soon as the worker dies, not when its team does."""
     try:
-        os.dup2(fd, 1)
+        posix.dup2(fd, 1)
         line = _member_line(matrix, work)
         with open(fd, "w", encoding="utf-8") as pipe:
             pipe.write(line)
-        os._exit(0)
+        posix._exit(0)
     finally:
-        os._exit(1)  # reached only if the reply could not be written
+        posix._exit(1)  # reached only if the reply could not be written
 
 
 def _reap(idx: int, pid: int) -> int:
     """Exit code of worker ``idx``, child ``pid``, given 60 s to exit; the
     poll interval doubles from 0.1 ms to 10 ms (most exit at once)."""
     deadline, delay = time.monotonic() + 60, 1e-4
-    while not (waited := os.waitpid(pid, os.WNOHANG))[0]:
+    while not (waited := posix.waitpid(pid, posix.WNOHANG))[0]:
         if time.monotonic() > deadline:
             raise ExecutionError(f"worker {idx} did not exit within 60 s of its reply")
         time.sleep(delay)
         delay = min(2 * delay, 0.01)
-    return os.waitstatus_to_exitcode(waited[1])
+    return posix.waitstatus_to_exitcode(waited[1])
 
 
 def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, team=False):
@@ -104,7 +102,7 @@ def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, team=False):
     process group its fork team joins, and every kill is of the group,
     so a team dies with its worker."""
     first = 1 if team else 0
-    if spans[first:] and not (hasattr(os, "fork") and hasattr(os, "posix_spawnp")):
+    if spans[first:] and not (hasattr(posix, "fork") and hasattr(posix, "posix_spawnp")):
         raise ExecutionError(f"fork and posix_spawn unavailable on {sys.platform}")
     workers: list[tuple[int, int]] = []  # (pid, reply read end) of every started child
     reaped = 0
@@ -112,13 +110,13 @@ def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, team=False):
         for idx, work in enumerate(spans[first:], first):
             pipe: tuple[int, ...] = ()
             try:
-                pipe = os.pipe()
+                pipe = posix.pipe()
                 workers.append((start(work, pipe[1]), pipe[0]))
             except OSError as exc:
                 for fd in pipe:
-                    os.close(fd)
+                    posix.close(fd)
                 raise ExecutionError(f"failed to spawn worker {idx}: {exc}") from exc
-            os.close(pipe[1])
+            posix.close(pipe[1])
         results = [_reply(0, _member_line(matrix, spans[0]), spans[0], 0, matrix)] if team else []
         for idx, ((pid, fd), work) in enumerate(zip(workers, spans[first:]), first):
             with open(fd, encoding="utf-8", errors="replace", closefd=False) as reply:
@@ -130,7 +128,7 @@ def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, team=False):
                 # the exit code real: the reaped pid stays the team's group
                 # id while a member lives, so the signal reaches no stranger.
                 try:
-                    os.killpg(pid, SIGKILL)
+                    posix.killpg(pid, SIGKILL)
                 except ProcessLookupError:
                     pass
             results.append(_reply(idx, line, work, code, matrix))
@@ -139,10 +137,10 @@ def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, team=False):
         return results
     finally:
         for idx, (pid, fd) in enumerate(workers):
-            os.close(fd)
+            posix.close(fd)
             if idx >= reaped:  # not reaped, so the pid is still ours to kill
-                (os.kill if team else os.killpg)(pid, SIGKILL)
-                os.waitpid(pid, 0)
+                (posix.kill if team else posix.killpg)(pid, SIGKILL)
+                posix.waitpid(pid, 0)
 
 
 def solve_interval_team(matrix: CostMatrix, work: WorkRange, threads: int) -> SolveResult:
@@ -154,7 +152,7 @@ def solve_interval_team(matrix: CostMatrix, work: WorkRange, threads: int) -> So
     having made core's block first if n needs it, so no member does."""
     sub = [WorkRange(work.start + r.start, work.start + r.end) for r in partition(work.count, threads)]
     block_for(matrix.n)
-    # os.fork() is 0 only in the child, which _team_member never lets return
+    # posix.fork() is 0 only in the child, which _team_member never lets return
     return reduce_results(_run_workers(
-        matrix, sub, lambda w, fd: os.fork() or _team_member(matrix, w, fd), team=True
+        matrix, sub, lambda w, fd: posix.fork() or _team_member(matrix, w, fd), team=True
     ))

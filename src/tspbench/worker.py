@@ -14,8 +14,10 @@ block at its first task of n >= 6 cities (core.block_for).  Whatever
 the map holds, a worker imports only what it runs: the kernel's package
 modules (core, permutation, errors), protocol, this one and, given a
 map, block5; a hybrid worker also imports team, and no worker imports
-backends.  None imports dataclasses, typing or signal, and none imports
-json, re or enum unless a line is rejected and json.loads words it.
+backends.  Of the standard library past what ``python -S`` loads, it
+imports only the builtins _collections and itertools and json's _json:
+no os, collections, reprlib or __future__, and no json, re or enum
+unless a line is rejected and json.loads words it.
 
 Tasks arrive one per line and each produces exactly one result line.
 A shutdown message ends the process with exit code 0.  Any protocol
@@ -24,9 +26,7 @@ coordinator is fail-fast and discards partial results, so there is no
 point in limping on.
 """
 
-from __future__ import annotations
-
-import os
+import posix
 import sys
 
 from .core import CostMatrix, solve_range
@@ -70,7 +70,7 @@ def run_worker(stdin=None, stdout=None) -> int:
 
 
 def main() -> None:
-    """Serve a worker interpreter, then leave by os._exit: the reply is
+    """Serve a worker interpreter, then leave by posix._exit: the reply is
     flushed, and the interpreter's teardown would only delay the exit
     that the coordinator reaps.  A worker started with its code pipe (an
     argument) holds core's block before its first scan: the pipe carries
@@ -81,4 +81,4 @@ def main() -> None:
         core._block = block5.block
     code = run_worker()
     sys.stdout.flush()
-    os._exit(code)
+    posix._exit(code)

@@ -185,14 +185,15 @@ def serial7(instance7):
 
 
 def counting_forks(monkeypatch, seen=lambda: None):
-    """Wrap os.fork; the list it returns gets ``seen()`` at each fork."""
-    forks, real_fork = [], os.fork
+    """Wrap the fork that team calls; the list it returns gets ``seen()``
+    at each fork."""
+    forks, real_fork = [], team.posix.fork
 
     def fork():
         forks.append(seen())
         return real_fork()
 
-    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(team.posix, "fork", fork)
     return forks
 
 

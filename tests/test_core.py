@@ -1,4 +1,6 @@
 import itertools
+import pickle
+import pickletools
 import random
 
 import pytest
@@ -8,10 +10,12 @@ from hypothesis import strategies as st
 from conftest import (
     FOUR_CITY_ROWS, all_ones, better_result, brute_force_best, check_record, tour_cost,
 )
+from tspbench import core
 from tspbench.backends import KINDS, BackendSpec
-from tspbench.bench import BenchPlan
+from tspbench.bench import BenchPlan, InstanceSolution, Report
 from tspbench.core import (
     EMPTY_RESULT,
+    FAULT_ENV_VAR,
     INFINITE_COST,
     CostMatrix,
     SolveResult,
@@ -22,7 +26,9 @@ from tspbench.core import (
 )
 from tspbench.errors import ValidationError
 from tspbench.instances import format_instance, parse_instance
+from tspbench.metrics import MetricsRow
 from tspbench.permutation import WorkRange, factorial, partition
+from tspbench.protocol import Task
 
 
 def random_matrix(n, rng, symmetric=False, high=100):
@@ -128,9 +134,56 @@ class TestRecords:
     def test_record_behaviour(self, record, kwargs, text, bad):
         check_record(record, kwargs, text, bad)
 
+    @pytest.mark.parametrize(
+        "cls,kwargs,text",
+        [
+            (Task, {"n": 2, "matrix": ((0, 1), (1, 0)), "start": 0, "end": 1, "threads": 1},
+             "Task(n=2, matrix=((0, 1), (1, 0)), start=0, end=1, threads=1)"),
+            (InstanceSolution, {"n": 4, "optimal_cost": 80, "optimal_path": (0, 1, 3, 2, 0)},
+             "InstanceSolution(n=4, optimal_cost=80, optimal_path=(0, 1, 3, 2, 0))"),
+            (MetricsRow, {"backend": "hybrid", "n": 8, "p": 2, "mean_seconds": 0.5, "speedup": 1.5,
+                          "efficiency": 0.75, "karp_flatt": None},
+             "MetricsRow(backend='hybrid', n=8, p=2, mean_seconds=0.5, speedup=1.5, "
+             "efficiency=0.75, karp_flatt=None)"),
+            (Report, {"schema_version": "1", "plan": BenchPlan((4,), (BackendSpec("serial"),)),
+                      "environment": "env", "solutions": (), "timings": (), "metrics": ()},
+             "Report(schema_version='1', plan=BenchPlan(n_values=(4,), backends=(BackendSpec("
+             "kind='serial', threads=None, processes=None),), repetitions=5, warmup=1, seed=0, "
+             "symmetric=True), environment='env', solutions=(), timings=(), metrics=())"),
+        ],
+        ids=["Task", "InstanceSolution", "MetricsRow", "Report"],
+    )
+    def test_plain_record_behaviour(self, cls, kwargs, text):
+        # the records without checks: built by keyword as by position, a
+        # tuple of the fields in order, pickled as a reference to the type
+        record = cls(**kwargs)
+        assert record == cls(*kwargs.values()) == tuple(kwargs.values()) and type(record) is cls
+        assert repr(record) == text
+        assert list(record._asdict().items()) == list(kwargs.items())
+        assert record._replace() == record and type(record._replace()) is cls
+        payload = pickle.dumps(record)
+        names = [arg for op, arg, _ in pickletools.genops(payload) if op.name == "SHORT_BINUNICODE"]
+        assert names[:2] == [cls.__module__, cls.__name__]
+        assert pickle.loads(payload) == record and type(pickle.loads(payload)) is cls
+
     def test_fields_become_tuples(self):
         assert CostMatrix([[0, 1], [1, 0]]).costs == ((0, 1), (1, 0))
         assert SolveResult(3, [0, 1, 0], 1).optimal_path == (0, 1, 0)
+
+
+def test_fault_switch_follows_the_environment(monkeypatch):
+    # core reads the environment on each call, so setenv and delenv in
+    # this process reach it at once
+    monkeypatch.delenv(FAULT_ENV_VAR, raising=False)
+    assert not core._fault_enabled()
+    monkeypatch.setenv(FAULT_ENV_VAR, "1")
+    assert core._fault_enabled()
+    monkeypatch.setenv(FAULT_ENV_VAR, "")
+    assert not core._fault_enabled()
+    monkeypatch.setenv(FAULT_ENV_VAR, "yes")
+    assert core._fault_enabled()
+    monkeypatch.delenv(FAULT_ENV_VAR)
+    assert not core._fault_enabled()
 
 
 class TestPathCost:

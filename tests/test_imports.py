@@ -1,6 +1,7 @@
 """Import-cost guards: importing the library must not pull in modules
 that only some paths need."""
 
+import ast
 import fcntl
 import importlib.util
 import marshal
@@ -13,10 +14,11 @@ import pytest
 
 from tspbench import backends, core
 from tspbench.backends import parse_backend_spec, solve, worker_command
-from tspbench.core import solve_range, solve_serial
+from tspbench.core import CostMatrix, solve_range, solve_serial
+from tspbench.errors import ProtocolError, ValidationError
 from tspbench.instances import generate_instance
 from tspbench.permutation import WorkRange
-from tspbench.protocol import parse_message
+from tspbench.protocol import decode_result, decode_task, parse_message
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -45,6 +47,10 @@ PACKAGE_MODULES = "sorted(m for m in sys.modules if m.partition('.')[0] == 'tspb
 #: The package modules a worker interpreter imports.
 WORKER_MODULES = ["tspbench", "tspbench.core", "tspbench.errors", "tspbench.permutation",
                   "tspbench.protocol", "tspbench.worker"]
+
+#: All that a worker imports past the modules ``python -S`` starts with,
+#: besides the package's own: two builtins and json's C accelerator.
+FLOOR_MODULES = ["_collections", "_json", "itertools"]
 
 #: What no worker imports, a hybrid one included.
 HEAVY_MODULES = ["dataclasses", "inspect", "typing", "signal", "enum", "functools", "types"]
@@ -103,6 +109,48 @@ def test_hybrid_task_adds_only_the_team():
     )
     printed = printed_after(statement, f"tuple(result), {PACKAGE_MODULES}", "-S")
     assert printed == f"(80, (0, 1, 3, 2, 0), 6) {sorted([*WORKER_MODULES, 'tspbench.team'])}"
+
+
+@pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
+def test_worker_imports_nothing_past_the_floor(team):
+    # everything, standard library included, that a worker's imports add
+    # to what python -S starts with: no os, collections, reprlib or __future__
+    statement = f"start = set(sys.modules)\nimport tspbench.worker{', tspbench.team' * team}"
+    printed = printed_after(statement, "sorted(set(sys.modules) - start)", "-S")
+    assert printed == str(sorted([*FLOOR_MODULES, *WORKER_MODULES, *["tspbench.team"] * team]))
+
+
+@pytest.mark.parametrize("module", ["collections", "reprlib"])
+def test_coordinator_modules_leave_module_out_under_no_site(module):
+    # every record is made by errors.record, and reprlib waits for an error
+    assert not loaded_after("import tspbench.backends, tspbench.instances", module, "-S")
+
+
+@pytest.mark.parametrize(
+    "reject,text",
+    [
+        (lambda: parse_message('"' + "y" * 300 + '"'),
+         "message is not an object: '\"yyyyyyyyyyy...yyyyyyyyyyyy\"'"),
+        (lambda: parse_message('{"v":"' + "1" * 100 + '","type":"task"}'),
+         "unsupported protocol version '111111111111...1111111111111'"),
+        (lambda: parse_message('{"v":1,"type":"' + "z" * 50 + '"}'),
+         "unknown message type 'zzzzzzzzzzzz...zzzzzzzzzzzzz'"),
+        (lambda: decode_task({"n": "x" * 50}),
+         "field 'n' must be an integer >= 2, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        (lambda: decode_task({"n": 2, "matrix": [[0, 1], [1, 0]], "start": "x" * 50}),
+         "field 'start' must be a decimal string, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        (lambda: decode_result({"cost": 1, "path": [*range(100), "a"]}),
+         "field 'path' must be a list of integers, got [0, 1, 2, 3, 4, 5, ...]"),
+        (lambda: CostMatrix(((0, 2**200), (1, 0))),
+         "cost[0][1] = 160693804425899027...2993782792835301376 exceeds the maximum 1000000000"),
+    ],
+    ids=["not-an-object", "version", "type", "int-field", "index-field", "path", "cost"],
+)
+def test_error_quotes_its_value_through_reprlib(reject, text):
+    # reprlib, imported only here, still shortens each quoted value
+    with pytest.raises((ProtocolError, ValidationError)) as info:
+        reject()
+    assert str(info.value) == text
 
 
 #: The code every worker interpreter runs: it drops the cwd's entry from
@@ -181,6 +229,17 @@ def test_shipped_worker_imports_the_same_modules_from_the_shipped_code(monkeypat
     printed = printed_by_shipped_worker(monkeypatch, tmp_path, statement, expression)
     loaders = str([(m, "Shipped", True) for m in modules])
     assert printed == (f"(80, (0, 1, 3, 2, 0), 6) {loaders}" if team else loaders)
+
+
+@pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
+def test_shipped_worker_imports_nothing_past_the_floor(monkeypatch, tmp_path, team):
+    # the same floor in a worker that runs the code the coordinator sent,
+    # a hybrid one through its first team task
+    start = ast.literal_eval(printed_after("", "sorted(sys.modules)", "-S"))
+    statement = HYBRID_TASK if team else "import tspbench.worker"
+    printed = printed_by_shipped_worker(monkeypatch, tmp_path, statement, "sorted(sys.modules)")
+    added = sorted(set(ast.literal_eval(printed.rpartition("\n")[2])) - set(start))
+    assert added == sorted([*FLOOR_MODULES, *WORKER_MODULES, *["tspbench.team"] * team])
 
 
 @pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
