@@ -6,11 +6,11 @@ process transports with one of two team transports:
 
 * process: on the caller, or in a worker interpreter that the package
   starts by posix_spawn (see worker_command and worker.py).  A worker
-  gets the code of every package module a worker runs and core's block
-  on a pipe of its own, one map per coordinator, and everything else,
-  the matrix included, over line-delimited JSON (see protocol.py), so the
-  coordinator stays a pure master: it partitions, distributes, collects
-  and reduces, but evaluates no permutations itself.
+  reads on its stdin the code of every package module a worker runs and
+  core's block, one map per coordinator, and then its task, the matrix
+  included, as line-delimited JSON (see protocol.py), so the coordinator
+  stays a pure master: it partitions, distributes, collects and reduces,
+  but evaluates no permutations itself.
 * team: inline, as a message-passing worker scans its span, or a fork
   team whose member 0 is the process itself, scanning the first range,
   and whose other members are forked and inherit the matrix
@@ -25,8 +25,6 @@ to serial: each worker scans a disjoint range and the reduction takes
 the minimum by (cost, permutation), which is associative and
 commutative, so the combination order never matters.
 """
-
-from __future__ import annotations
 
 import marshal
 import os
@@ -138,10 +136,9 @@ def hybrid_ranges(total: int, processes: int, threads: int) -> list[list[WorkRan
 #: team imports team.
 WORKER_MODULES = ("tspbench", "tspbench.core", "tspbench.errors", "tspbench.permutation",
                   "tspbench.protocol", "tspbench.team", "tspbench.worker")
-#: The name under which the code pipe carries core's block, as a module
+#: The name under which the code map carries core's block, as a module
 #: that defines it; worker.main imports it.
 BLOCK_MODULE = "tspbench.block5"
-CODE_FD = 3  # the fd on which a worker of the package's own command reads its code
 _shipped = b""  # every worker's code, marshalled, built once per process
 
 
@@ -154,15 +151,16 @@ def worker_command() -> list[str]:
     # sys.path, as '', which the code drops before it imports anything,
     # so no module in the caller's cwd shadows the package or the stdlib
     # (PYTHONSAFEPATH leaves the entry out, and nothing is dropped).
-    # Given an fd as its one argument, it imports the package from the
-    # code it reads there, by a finder that goes first and imports nothing
-    # (its spec_from_file_location is importlib.util's, loaded frozen).
+    # Given an argument, it reads from its stdin, ahead of its task, an
+    # 8-byte size and that much code, and imports the package from it by a
+    # finder that goes first and imports nothing (importlib's, frozen).
     return [sys.executable, "-S", "-c", (
         "import sys; sys.path[0] or sys.path.pop(0)\n"
         "if sys.argv[1:]:\n"
         "    import marshal\n"
         "    from _frozen_importlib_external import spec_from_file_location\n"
-        "    with open(int(sys.argv[1]), 'rb') as pipe: code = marshal.loads(pipe.read())\n"
+        "    size = int.from_bytes(sys.stdin.buffer.read(8), 'big')\n"
+        "    code = marshal.loads(sys.stdin.buffer.read(size))\n"
         "    class Shipped:\n"
         "        find_spec = lambda name, *_: spec_from_file_location(name, code[name].co_filename,"
         " loader=Shipped, submodule_search_locations=None if '.' in name else [])"
@@ -200,39 +198,34 @@ def _worker_code() -> bytes:
 
 def _spawn_worker(matrix: CostMatrix, threads: int, work: WorkRange, fd: int) -> int:
     """Start a worker interpreter that answers on ``fd``, as the leader of
-    a new process group that its fork team joins.  Send it the code it
-    runs on CODE_FD (unless TSPBENCH_WORKER_BIN replaces it), then its
-    span, the team size ``threads`` and the shutdown in one write."""
+    a new process group that its fork team joins.  Send it on its stdin,
+    in one write, the code it runs (unless TSPBENCH_WORKER_BIN replaces
+    it), then its span, the team size ``threads`` and the shutdown."""
     cmd = worker_command()
     ship = not os.environ.get(WORKER_BIN_ENV_VAR)
-    pipes: list[tuple[int, int]] = []  # (read, write) of the task pipe, then the code pipe's
+    read, write = os.pipe()
     try:
-        for _ in range(1 + ship):
-            pipes.append(os.pipe())
-        # CODE_FD is dup'd to last: ``fd`` or the task pipe's end may be it
-        dups = [(pipes[0][0], 0), (fd, 1), *((read, CODE_FD) for read, _ in pipes[1:])]
-        pid = os.posix_spawnp(cmd[0], cmd + [str(CODE_FD)] * ship, _worker_env(),
-                              file_actions=[(os.POSIX_SPAWN_DUP2, *dup) for dup in dups],
+        pid = os.posix_spawnp(cmd[0], cmd + ["shipped"] * ship, _worker_env(),
+                              file_actions=[(os.POSIX_SPAWN_DUP2, read, 0),
+                                            (os.POSIX_SPAWN_DUP2, fd, 1)],
                               setpgroup=0, setsigdef=(SIGPIPE,))
     except BaseException:
-        for _, write in pipes:
-            os.close(write)
+        os.close(write)
         raise
     finally:
-        for read, _ in pipes:
-            os.close(read)
-    if ship:  # the code first, built at the first spawn while that worker starts
-        code = _worker_code()
-        _make_room(pipes[1][1], len(code))
-        _send(pipes[1][1], code)
-    _send(pipes[0][1], (task_message(matrix.costs, work, threads) + shutdown_message()).encode())
+        os.close(read)
+    code = _worker_code() if ship else b""  # built at the first spawn while that worker starts
+    data = len(code).to_bytes(8, "big") * ship + code
+    data += (task_message(matrix.costs, work, threads) + shutdown_message()).encode()
+    _make_room(write, len(data))
+    _send(write, data)
     return pid
 
 
 def _make_room(fd: int, size: int) -> None:
     """Let the pipe ``fd`` hold ``size`` bytes, so that writing them waits
     on no reader, where Linux's F_SETPIPE_SZ allows it.  Elsewhere the
-    write waits until the worker reads its code, which it does first."""
+    write waits until the worker reads its stdin, which it does first."""
     try:
         from fcntl import F_GETPIPE_SZ, F_SETPIPE_SZ, fcntl
 

@@ -25,8 +25,6 @@ mean to 6 decimals, the three ratios to 3 decimals, and an empty
 karp_flatt cell where it is undefined (p = 1).
 """
 
-from __future__ import annotations
-
 import json
 import os
 import platform

@@ -5,16 +5,14 @@ validation error, 2 execution or correctness error.
 Diagnostics go to stderr; data goes to files or stdout.
 """
 
-from __future__ import annotations
-
 import sys
 
 from .errors import ExecutionError, ValidationError
 
 DEFAULT_SWEEP = "8,9,10,11,12"
 
-#: Problem sizes at or above this need the --big acknowledgment: one
-#: serial n=13 solve takes ~10 s, and a sweep runs it many times.
+#: Sizes at or above this need the --big acknowledgment: a serial n=13
+#: solve takes ~5 s, ~8 s in a 1.6x slow host mode, and a sweep repeats it.
 BIG_N = 13
 
 
@@ -85,7 +83,7 @@ def _cmd_bench(args) -> int:
     )
     if max(plan.n_values) >= BIG_N and not args.big:
         raise ValidationError(
-            f"n >= {BIG_N} takes 10 s or more per serial solve; pass --big to acknowledge"
+            f"n >= {BIG_N} takes 5 s or more per serial solve; pass --big to acknowledge"
         )
     report = bench.run_bench(plan)
     text = bench.report_to_json(report)
@@ -151,7 +149,7 @@ def _build_parser():
     bench_p.add_argument("--asymmetric", action="store_true",
                          help="benchmark asymmetric instances")
     bench_p.add_argument("--big", action="store_true",
-                         help=f"allow n >= {BIG_N} (10 s or more per serial solve)")
+                         help=f"allow n >= {BIG_N} (5 s or more per serial solve)")
     bench_p.add_argument("--out", help="write the JSON report here (default: stdout)")
     bench_p.add_argument("--csv", help="also write raw per-run timings as CSV")
     bench_p.set_defaults(func=_cmd_bench)

@@ -10,8 +10,6 @@ same (n, seed, symmetric) triple are therefore identical everywhere,
 which is what makes golden regression costs meaningful.
 """
 
-from __future__ import annotations
-
 from .core import CostMatrix, check_city_count
 from .errors import ValidationError, quoted
 

@@ -1,8 +1,6 @@
 """Speedup, efficiency, and the experimentally determined serial
 fraction (Karp-Flatt metric) over timing records."""
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Mapping
 from math import isfinite
 from statistics import fmean

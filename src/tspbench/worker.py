@@ -2,22 +2,22 @@
 
 The coordinator spawns every worker interpreter by
 backends.worker_command(), ``python -S -c`` with code that drops the
-cwd's entry from sys.path, reads one map of code, every package module
-a worker may run and core's scan block, from the pipe on fd 3 that its
-argument names, puts a finder that runs that code first on
-sys.meta_path, and calls main(): it runs no ``site``, ``.pth`` file,
-``sitecustomize``, ``runpy`` or CLI, compiles neither a package module
-nor the block, and imports nothing from the caller's cwd.  Started
-without a code pipe, as by TSPBENCH_WORKER_BIN, it finds the package
-through the PYTHONPATH that backends._worker_env sets, and compiles the
-block at its first task of n >= 6 cities (core.block_for).  Whatever
-the map holds, a worker imports only what it runs: the kernel's package
-modules (core, permutation, errors), protocol, this one and, given a
-map, block5; a hybrid worker also imports team, and no worker imports
-backends.  Of the standard library past what ``python -S`` loads, it
-imports only the builtins _collections and itertools and json's _json:
-no os, collections, reprlib or __future__, and no json, re or enum
-unless a line is rejected and json.loads words it.
+cwd's entry from sys.path, reads one map of code, every package module a
+worker may run and core's scan block, from the start of its stdin (an
+8-byte size, then the map) when given an argument, puts a finder that
+runs that code first on sys.meta_path, and calls main(): it runs no
+``site``, ``.pth`` file, ``sitecustomize``, ``runpy`` or CLI, compiles
+neither a package module nor the block, and imports nothing from the
+caller's cwd.  Started with no code, as by TSPBENCH_WORKER_BIN, it finds
+the package through the PYTHONPATH that backends._worker_env sets, and
+compiles the block at its first task of n >= 6 cities (core.block_for).
+Whatever the map holds, a worker imports only what it runs: the kernel's
+package modules (core, permutation, errors), protocol, this one and,
+given a map, block5; a hybrid worker also imports team, and no worker
+imports backends.  Of the standard library past what ``python -S`` loads,
+it imports only the builtins _collections and itertools and json's
+_json: no os, collections, reprlib or __future__, and no json, re or
+enum unless a line is rejected and json.loads words it.
 
 Tasks arrive one per line and each produces exactly one result line.
 A shutdown message ends the process with exit code 0.  Any protocol
@@ -72,9 +72,9 @@ def run_worker(stdin=None, stdout=None) -> int:
 def main() -> None:
     """Serve a worker interpreter, then leave by posix._exit: the reply is
     flushed, and the interpreter's teardown would only delay the exit
-    that the coordinator reaps.  A worker started with its code pipe (an
-    argument) holds core's block before its first scan: the pipe carries
-    it as the module block5, so no worker compiles it."""
+    that the coordinator reaps.  A worker started with its code (an
+    argument) holds core's block before its first scan: the code map
+    carries it as the module block5, so no worker compiles it."""
     if sys.argv[1:]:
         from . import block5, core
 

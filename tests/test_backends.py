@@ -367,8 +367,8 @@ class TestWorkerInterpreterFailures:
 
     def test_worker_that_exits_before_reading_its_code_is_reported(self, monkeypatch, four_city_matrix):
         # The real command, stopped by PYTHONMALLOC before it runs any code.
-        # The code is written only once the worker has exited (unreaped), so
-        # that write, and the task's, meet a pipe that no one can read.
+        # The code is built only once the worker has exited (unreaped), so
+        # the one write of the code and the task meets a pipe no one can read.
         monkeypatch.delenv("TSPBENCH_WORKER_BIN", raising=False)
         monkeypatch.setenv("PYTHONMALLOC", "bogus")
         pids, spawn, build = [], os.posix_spawnp, backends._worker_code

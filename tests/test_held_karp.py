@@ -4,7 +4,9 @@ perfbench's Held-Karp solver shares no code with tspbench and returns
 the lexicographically smallest optimal tour, so it checks the serial
 walk and a forked team on cost, path and tie-break at n = 11, where
 ``brute_force_best`` in conftest would take minutes, on every kernel
-path, and the serial walk at n = 12 on the lanes path.
+path, and the serial walk at n = 12 on the lanes path.  Near-tie
+instances, every cost 1 or 2, check that the lane filter skips no block
+that holds a better tour, at the shipped thresholds.
 """
 
 import importlib.util
@@ -14,7 +16,7 @@ import pytest
 
 from conftest import KERNEL_PATHS, kernel_path
 from tspbench.backends import parse_backend_spec, solve
-from tspbench.core import solve_serial
+from tspbench.core import CostMatrix, solve_serial
 from tspbench.instances import generate_instance
 from tspbench.permutation import factorial
 
@@ -48,3 +50,21 @@ def test_twelve_cities_match_held_karp_on_the_lanes_path(symmetric):
         result = solve_serial(matrix)
     assert (result.optimal_cost, result.optimal_path) == expected
     assert result.evaluated == factorial(11)
+
+
+def near_tie(n, seed, symmetric):
+    """generate_instance's matrix with every off-diagonal cost reduced to
+    1 or 2: many tours tie or differ by 1, where a lane test that is off
+    by one drops the optimum."""
+    costs = generate_instance(n, seed, symmetric).costs
+    return CostMatrix(tuple(tuple(0 if i == j else 1 + c % 2 for j, c in enumerate(row))
+                            for i, row in enumerate(costs)))
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "asymmetric"])
+@pytest.mark.parametrize("n,seed", [(10, seed) for seed in range(8)] + [(11, seed) for seed in range(3)])
+def test_near_ties_match_held_karp(n, seed, symmetric):
+    matrix = near_tie(n, seed, symmetric)
+    result = solve_serial(matrix)  # a full scan at n >= 10 takes the lanes path
+    assert (result.optimal_cost, result.optimal_path) == load_held_karp()(matrix.costs)
+    assert result.evaluated == factorial(n - 1)

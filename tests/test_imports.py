@@ -18,7 +18,9 @@ from tspbench.core import CostMatrix, solve_range, solve_serial
 from tspbench.errors import ProtocolError, ValidationError
 from tspbench.instances import generate_instance
 from tspbench.permutation import WorkRange
-from tspbench.protocol import decode_result, decode_task, parse_message
+from tspbench.protocol import (
+    decode_result, decode_task, parse_message, shutdown_message, task_message,
+)
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -154,13 +156,15 @@ def test_error_quotes_its_value_through_reprlib(reject, text):
 
 
 #: The code every worker interpreter runs: it drops the cwd's entry from
-#: sys.path and, given a code pipe's fd, imports the package from it.
+#: sys.path and, given an argument, reads an 8-byte size and that much
+#: code from stdin and imports the package from it.
 BOOTSTRAP = """\
 import sys; sys.path[0] or sys.path.pop(0)
 if sys.argv[1:]:
     import marshal
     from _frozen_importlib_external import spec_from_file_location
-    with open(int(sys.argv[1]), 'rb') as pipe: code = marshal.loads(pipe.read())
+    size = int.from_bytes(sys.stdin.buffer.read(8), 'big')
+    code = marshal.loads(sys.stdin.buffer.read(size))
     class Shipped:
         find_spec = lambda name, *_: spec_from_file_location(name, code[name].co_filename, \
 loader=Shipped, submodule_search_locations=None if '.' in name else []) if name in code else None
@@ -182,32 +186,19 @@ def printed_by_shipped_worker(monkeypatch, tmp_path, statement, expression):
     """What ``print(expression)`` writes after ``statement`` runs in a
     worker interpreter that read the shipped code: the real command,
     with ``statement`` in place of its entry into worker.main, and a
-    PYTHONPATH that leads to no package.  The code is written once the
-    worker has started, as _spawn_worker writes it."""
+    PYTHONPATH that leads to no package.  The code comes on stdin behind
+    its 8-byte size, with an argument, as _spawn_worker sends it."""
     monkeypatch.delenv("TSPBENCH_WORKER_BIN", raising=False)
     *cmd, boot = worker_command()
     boot = boot.rpartition("\n")[0]  # all but the line that enters worker.main
-    read, write = os.pipe()
-    try:
-        proc = subprocess.Popen(
-            [*cmd, f"{boot}\n{statement}\nprint({expression})", str(read)], pass_fds=(read,),
-            env=dict(os.environ, PYTHONPATH=str(tmp_path)), stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True,
-        )
-    except BaseException:
-        os.close(write)
-        raise
-    finally:
-        os.close(read)
-    try:
-        with open(write, "wb") as pipe:
-            pipe.write(backends._worker_code())
-        out, err = proc.communicate(timeout=60)
-    finally:
-        proc.kill()
-        proc.wait()
-    assert proc.returncode == 0, err
-    return out.strip()
+    code = backends._worker_code()
+    out = subprocess.run(
+        [*cmd, f"{boot}\n{statement}\nprint({expression})", "shipped"],
+        input=len(code).to_bytes(8, "big") + code,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr.decode()
+    return out.stdout.decode().strip()
 
 
 #: An expression for the loader of each package module in sys.modules,
@@ -222,7 +213,7 @@ PACKAGE_LOADERS = (
 @pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
 def test_shipped_worker_imports_the_same_modules_from_the_shipped_code(monkeypatch, tmp_path, team):
     # the package modules that the two tests above pin, each run from the
-    # code pipe by the bootstrap's finder and known by its source path
+    # shipped code by the bootstrap's finder and known by its source path
     statement = HYBRID_TASK if team else "import tspbench.worker"
     modules = sorted([*WORKER_MODULES, *["tspbench.team"] * team])
     expression = f"{'tuple(result), ' * team}{PACKAGE_LOADERS}"
@@ -284,17 +275,20 @@ def test_shipped_worker_holds_the_block_before_its_first_scan(monkeypatch, tmp_p
 @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs the pipe capacity")
 @pytest.mark.parametrize("team", [False, True], ids=["procs", "hybrid"])
 def test_shipped_code_fits_in_the_pipe(team):
-    # One map serves both kinds of worker.  The code pipe, with the room
-    # _spawn_worker makes in it, takes the whole map at once.  A write
-    # that waited for the worker to read would run spawns one after
-    # another, and a worker stuck before its read would hang the
-    # coordinator.
+    # One map serves both kinds of worker.  A worker's stdin, with the
+    # room _spawn_worker makes in it, takes the whole map and a task line
+    # at once.  A write that waited for the worker to read would run
+    # spawns one after another, and a worker stuck before its read would
+    # hang the coordinator.
+    task = task_message(generate_instance(12, 0, symmetric=False).costs, WorkRange(0, 39916800),
+                        2 if team else 1)
     code = backends._worker_code()
+    data = len(code).to_bytes(8, "big") + code + (task + shutdown_message()).encode()
     read, write = os.pipe()
     try:
-        backends._make_room(write, len(code))
+        backends._make_room(write, len(data))
         os.set_blocking(write, False)
-        assert os.write(write, code) == len(code)
+        assert os.write(write, data) == len(data)
     finally:
         os.close(read)
         os.close(write)
@@ -303,18 +297,23 @@ def test_shipped_code_fits_in_the_pipe(team):
 @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs the pipe capacity")
 @pytest.mark.parametrize("threads", [1, 2], ids=["procs", "hybrid"])
 def test_spawn_does_not_wait_for_the_worker_to_read_its_code(threads):
-    # A worker that reads only its stdin, to its end, and never its code
-    # pipe: the spawn writes the code, then the task, and returns.
+    # A worker stopped as soon as it is spawned, so that it reads nothing
+    # of its stdin until the spawn has returned: the spawn writes the
+    # code and the task in one write and returns.  Then the worker goes
+    # on, reads its stdin to its end and exits.
     code = (
-        "import os, sys\n"
+        "import os, signal, sys\n"
         "from tspbench import backends\n"
         "from tspbench.instances import generate_instance\n"
         "from tspbench.permutation import WorkRange\n"
         "backends.worker_command = lambda: [sys.executable, '-S', '-c', "
         "'import sys; sys.stdin.buffer.read()']\n"
+        "spawn = os.posix_spawnp\n"
+        "os.posix_spawnp = lambda *a, **kw: os.kill(pid := spawn(*a, **kw), signal.SIGSTOP) or pid\n"
         "read, write = os.pipe()\n"
         f"pid = backends._spawn_worker(generate_instance(8, 0, symmetric=False), {threads}, "
         "WorkRange(0, 5040), write)\n"
+        "os.kill(pid, signal.SIGCONT)\n"
         "os.close(write)\n"
         "print(os.read(read, 1), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))"
     )
@@ -379,8 +378,9 @@ def test_spawned_worker_finds_the_package_through_its_env_alone(tmp_path):
 @pytest.mark.parametrize("safe_path", [None, "1"], ids=["cwd-on-path", "PYTHONSAFEPATH"])
 def test_spawned_worker_imports_nothing_from_the_cwd(tmp_path, safe_path):
     # Under -c, sys.path starts with the cwd ('') unless PYTHONSAFEPATH is
-    # set; here it holds a stdlib module and a package that both raise.
-    (tmp_path / "reprlib.py").write_text("raise ImportError('reprlib from the cwd')\n")
+    # set; here it holds a stdlib module that every worker imports, the
+    # one it loads from a path, and a package, and both raise.
+    (tmp_path / "_json.py").write_text("raise ImportError('_json from the cwd')\n")
     (tmp_path / "tspbench").mkdir()
     (tmp_path / "tspbench" / "__init__.py").write_text("raise ImportError('package from the cwd')\n")
     drop = ("PYTHONPATH", "TSPBENCH_WORKER_BIN", "PYTHONSAFEPATH")
