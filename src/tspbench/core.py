@@ -17,7 +17,7 @@ partitioned or in which order partial results were combined.
 """
 
 import posix
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .errors import ExecutionError, ValidationError, quoted, record
 from .permutation import WorkRange, factorial
@@ -149,20 +149,21 @@ def _fault_enabled() -> bool:
 #: _BLOCK_ORDER[i] (indices into them), in lexicographic order.
 _BLOCK_ORDER = tuple(permutations(range(5)))
 
-#: The lane filter (see _walk) serves ranges from _LANES_MIN leaves at
-#: n <= _LANES_MAX_N.  A subtree of five labels recurs (k-7)! times in a
-#: subtree of k labels, and its entry costs about one block call to
-#: build, so a range must span subtrees of eight labels or more to repay
-#: its table; no n <= 9 range is that long.  Block held, process_time,
-#: medians of 15, filter / blocks on a mid-space range over n = 10..13:
-#: 2,520 leaves 2.8-3.5x, 40,320 0.78-1.66x, 80,640 0.75-0.91x, 181,440
-#: 0.50-0.59x.  A full n = 13 table holds (n-1)*C(n-2, 5) = 5,544
-#: entries of five labels, 12,289 in all, and under 6 MB with its keys.
-_LANES_MIN = 80_000
+#: The lane filter (see _walk) serves a range at n <= _LANES_MAX_N with
+#: _LANES_MIN leaves or more for each entry of its table, which a walk
+#: builds whole (_lane_entries).  Block held, process_time, medians of
+#: 15, filter / blocks on mid-space ranges: they break even near 18,500
+#: leaves at n = 9 (960 entries), 38,500 at 10 (1,971), 80,000 at 11
+#: (3,820), 170,000 at 12 (7,018) and 275,000 at 13 (12,288), which is
+#: 19-24 leaves per entry; 24 is the highest.  Past it the filter wins:
+#: a full n = 9 scan takes 0.54x the blocks' time, a full n = 10 one
+#: 0.23x.  A full n = 13 table fills 12,288 of the 2**17 slots of its
+#: list and takes 5.2 MiB with its ints, under 6 MiB.
+_LANES_MIN = 24
 _LANES_MAX_N = 13
 
 #: A lane is 40 bits of an int, in _BLOCK_ORDER from the lowest.  An
-#: entry of _LaneTable holds a suffix cost in each lane, and _walk adds
+#: entry of _lane_table holds a suffix cost in each lane, and _walk adds
 #: cost - best_cost + _LANE_SHIFT to each of the 120 lanes of an entry
 #: of five labels, which makes lane i total_i - best_cost + 2**39: its
 #: top bit is clear exactly when tour i costs less than the best.  Costs
@@ -178,35 +179,55 @@ _LANE_ONES = tuple(((1 << _LANE * factorial(k)) - 1) // ((1 << _LANE) - 1) for k
 _LANE_HIGH = _LANE_ONES[5] << _LANE - 1
 
 
-class _LaneTable(dict):
-    """One walk's lane table: table[mask << 4 | last] holds, in lane i,
-    the cost of last -> the ith ordering of the labels set in mask -> 0,
-    with the orderings in lexicographic order; the costs are a
-    CostMatrix's, so each lane is in [0, 6 * MAX_COST] (see _LANE).  An
-    entry of k labels is built at its first lookup, from the entries of
-    k - 1: the sum over its labels x_i of (costs[last][x_i] * ones +
-    table[x_i, rem - x_i]) << 40 * i * (k-1)!.  A table with n > 16
-    would need a wider key."""
+def _lane_table(costs):
+    """One walk's lane table, a list: table[mask << 4 | last] holds, in
+    lane i, the cost of last -> the ith ordering of the labels set in
+    mask -> 0, with the orderings in lexicographic order, for each last
+    city >= 1 and each mask of up to five labels without it; no walk
+    looks up last city 0.  The costs are a CostMatrix's, so each lane is
+    in [0, 6 * MAX_COST] (see _LANE).  It is built once, level by level
+    over the label sets of size k = 1 .. 5, in the subset-size order of
+    Held and Karp's recurrence (J. SIAM 10(1), 1962), but it keeps every
+    ordering's cost, not one minimum: for the labels y_0 < .. < y_k-1 of
+    a set S, the entry of a last city is the sum over i of
+    (costs[last][y_i] * _LANE_ONES[k-1] + table[y_i, S - y_i])
+    << 40 * i * (k-1)!.  The second terms do not depend on the last city,
+    so their sum is made once per set.  A table with n > 16 would need a
+    wider key."""
+    n = len(costs)
+    table = [0] * (1 << n + 4)
+    labels = range(1, n)
+    for x in labels:
+        table[x] = costs[x][0]
+    for k in range(1, 6):
+        width = _LANE * factorial(k - 1)
+        legs = [_LANE_ONES[k - 1] << width * i for i in range(k)]
+        for subset in combinations(labels, k):
+            mask = 0
+            for y in subset:
+                mask |= 1 << y
+            key = mask << 4
+            base = 0
+            for i, y in enumerate(subset):
+                base += table[key ^ 16 << y | y] << width * i
+            for last in labels:
+                if not mask >> last & 1:
+                    row = costs[last]
+                    lanes = base
+                    for i, y in enumerate(subset):
+                        lanes += row[y] * legs[i]
+                    table[key | last] = lanes
+    return table
 
-    def __init__(self, costs):
-        super().__init__((x, row[0]) for x, row in enumerate(costs))
-        self.costs = costs
 
-    def __missing__(self, key):
-        mask = key >> 4
-        row = self.costs[key & 15]
-        below = mask.bit_count() - 1  # labels in each entry this one is built from
-        ones, width = _LANE_ONES[below], _LANE * factorial(below)
-        lanes = shift = 0
-        rest = mask
-        while rest:  # the labels in increasing order
-            bit = rest & -rest
-            rest ^= bit
-            x = bit.bit_length() - 1
-            lanes += (row[x] * ones + self[(mask ^ bit) << 4 | x]) << shift
-            shift += width
-        self[key] = lanes
-        return lanes
+def _lane_entries(n: int) -> int:
+    """The entries of a lane table at ``n`` cities: each last city >= 1
+    with each set of up to five of the other n - 2 labels."""
+    sets = subsets = 1
+    for k in range(1, 6):
+        subsets = subsets * (n - 1 - k) // k  # C(n-2, k) from C(n-2, k-1)
+        sets += subsets
+    return (n - 1) * sets
 
 
 _block = None  # the block, once this process holds it
@@ -284,20 +305,24 @@ def _walk(matrix: CostMatrix, start: int, count: int):
     One label left is the leaf of a tour of n < 6.  The strict ``<``
     keeps the first optimum visited, the smallest in lexicographic order.
 
-    A range of _LANES_MIN leaves or more at n <= _LANES_MAX_N also
-    builds a lane table (_LaneTable), whose entry for a last city and
-    five labels holds the suffix costs of all 120 orderings, one to a
-    40-bit lane of one int (SWAR: Lamport, CACM 18(8), 1975).  A node of
-    six labels builds its label mask once and, in its loop, tests each
-    whole child before calling it: one multiply-add puts cost - best_cost
-    + 2**39 into each lane of the child's entry (the bounds are stated at
-    _LANE), and one mask tests all 120 top bits: a lane's is clear
-    exactly when its tour costs strictly less than the best so far.  With
-    none clear, no tour of the child can replace the best under the
-    strict ``<``, and the node counts its 120 leaves; with any clear, the
-    child runs its block as above.  So each tour still gets its own sum
-    and its own comparison, nothing is pruned, and (cost, path) and the
-    count are those of the blocks alone.
+    A range at n <= _LANES_MAX_N with _LANES_MIN leaves or more for each
+    entry of a lane table (_lane_entries) also uses one, whose entry for
+    a last city and five labels holds the suffix costs of all 120
+    orderings, one to a 40-bit lane of one int (SWAR: Lamport, CACM
+    18(8), 1975).  A node of six labels with a whole child builds its
+    label mask once, and the walk's first such node builds the whole
+    table (_lane_table), so a walk that tests no lane builds none, and
+    none below n = 7 does.  In its loop the node tests each whole child
+    before calling it: one multiply-add puts cost - best_cost + 2**39
+    into each lane of the child's entry, table[mask ^ 1 << x + 4 | x]
+    (the bounds are stated at _LANE), and one mask tests all 120 top
+    bits: a lane's is clear exactly when its tour costs strictly less
+    than the best so far.  With none clear, no tour of the child can
+    replace the best under the strict ``<``, and the node counts its 120
+    leaves; with any clear, the child runs its block as above.  So each
+    tour still gets its own sum and its own comparison, nothing is
+    pruned, and (cost, path) and the count are those of the blocks
+    alone.
     """
     costs, n = matrix.costs, matrix.n
     home = [row[0] for row in costs]
@@ -309,12 +334,13 @@ def _walk(matrix: CostMatrix, start: int, count: int):
     best_cost = n * MAX_COST + 1
     best_path = None
     visited = 0
-    table = _LaneTable(costs) if count >= _LANES_MIN and n <= _LANES_MAX_N else None
+    filtered = n <= _LANES_MAX_N and count >= _LANES_MIN * _lane_entries(n)
+    table = None  # built at the first node that tests a lane
 
     def walk(last, cost, rem, lo, hi):
         # leaves lo .. hi-1 of the orderings of ``rem`` after ``prefix``,
         # whose cost is ``cost``; a child wholly inside them gets [0, size)
-        nonlocal best_cost, best_path, visited
+        nonlocal best_cost, best_path, visited, table
         row = costs[last]
         if len(rem) == 5:  # the block's totals in [lo, hi); a full slice is the tuple itself
             totals = block(costs, t3, cost, row, *rem)[lo:hi]
@@ -332,8 +358,12 @@ def _walk(matrix: CostMatrix, start: int, count: int):
             return
         size = factorial(len(rem) - 1)  # leaves below each child
         first, final = lo // size, (hi - 1) // size
-        lanes = size == 120 and table is not None
-        if lanes:  # a whole child runs only when a lane of its entry is below the best
+        # a whole child runs only when a lane of its entry is below the best;
+        # (lo + 119) // 120 is the first whole child, and it ends by hi
+        lanes = size == 120 and filtered and (lo + 119) // 120 < hi // 120
+        if lanes:
+            if table is None:
+                table = _lane_table(costs)
             mask = sum(1 << x + 4 for x in rem)
         for i in range(first, final + 1):
             x = rem[i]
