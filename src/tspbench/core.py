@@ -243,8 +243,8 @@ def _block5():
     and a leaf adds the last three legs in one subscript of the suffix
     table t3[y][z][w], the cost of y -> z -> w -> 0.  It is the one
     kernel for five remaining labels, so a process makes it at its
-    first walk of n >= 6 cities, from _block_code, compiled here at most
-    once per process; a spawned worker gets the block with its code
+    first _kernel of n >= 6 cities, from _block_code, compiled here at
+    most once per process; a spawned worker gets the block with its code
     instead (see worker.main)."""
     global _block, _block_code
     if _block is None:
@@ -279,20 +279,31 @@ def block_code():
     return _block_code
 
 
-def block_for(n: int):
-    """The block, made now, if a tour of ``n`` cities has five labels
-    left after city 0 (n >= 6); else None.  A fact about the tree, not a
-    tuned threshold: every walk of n >= 6 cities costs each subtree of
-    five labels, whole or cut by its range, in one block call.  A fork
-    team asks before it forks, so that its members inherit the block
-    instead of each compiling one."""
-    return _block5() if n >= 6 else None
+def _kernel(matrix: CostMatrix, start: int, count: int):
+    """The one place that decides what a walk of ``matrix`` over [start,
+    start + count) builds: (home, block, t3, table), home[x] being the leg
+    x -> 0.  From n = 6, where five labels follow city 0 (a fact about the
+    tree), block is _block5's and t3[y][z][w] the legs y -> z -> w -> 0,
+    else both are None.  table is the lane table of a range at 7 <= n <=
+    _LANES_MAX_N with _LANES_MIN leaves or more per entry that holds a
+    whole subtree of five labels ((start + 119) // 120 is the first), else
+    None.  A fork team builds one for its interval, for every member."""
+    costs, n = matrix.costs, matrix.n
+    home = [row[0] for row in costs]
+    if n < 6:
+        return home, None, None, None
+    tails = [[row[z] + home[z] for z in range(n)] for row in costs]  # y -> z -> 0
+    t3 = [[[cost + tail for tail in tails[z]] for z, cost in enumerate(row)] for row in costs]
+    lanes = 7 <= n <= _LANES_MAX_N and count >= _LANES_MIN * _lane_entries(n)
+    lanes = lanes and (start + 119) // 120 < (start + count) // 120
+    return home, _block5(), t3, _lane_table(costs) if lanes else None
 
 
-def _walk(matrix: CostMatrix, start: int, count: int):
+def _walk(matrix: CostMatrix, start: int, count: int, kernel):
     """Best tour of ``matrix`` among the permutations of 1 .. n-1 with
     lexicographic index in [start, start + count), as (best_cost,
-    closed_path), the best starting at n * MAX_COST + 1, above any tour.
+    closed_path), the best starting at n * MAX_COST + 1, above any tour;
+    it only reads ``kernel``, _kernel's for a range that holds this one.
 
     The walk descends over the sorted remaining labels (Knuth, TAOCP
     Vol. 4A, 7.2.1.2), so a leaf adds only its last legs to the cost of
@@ -300,47 +311,37 @@ def _walk(matrix: CostMatrix, start: int, count: int):
     leaves lo .. hi-1 below a prefix, from the root's [start, start +
     count) down; factorial arithmetic skips the children outside them,
     and only the first and the last child can be cut.  Five labels left
-    is one block call (block_for; n >= 6, with the three-leg suffix table
-    t3), of whose totals the walk keeps the first cheapest in [lo, hi).
-    One label left is the leaf of a tour of n < 6.  The strict ``<``
-    keeps the first optimum visited, the smallest in lexicographic order.
+    is one block call (n >= 6, with the three-leg suffix table t3), of
+    whose totals the walk keeps the first cheapest in [lo, hi).  One
+    label left is the leaf of a tour of n < 6.  The strict ``<`` keeps
+    the first optimum visited, the smallest in lexicographic order.
 
-    A range at n <= _LANES_MAX_N with _LANES_MIN leaves or more for each
-    entry of a lane table (_lane_entries) also uses one, whose entry for
-    a last city and five labels holds the suffix costs of all 120
-    orderings, one to a 40-bit lane of one int (SWAR: Lamport, CACM
-    18(8), 1975).  A node of six labels with a whole child builds its
-    label mask once, and the walk's first such node builds the whole
-    table (_lane_table), so a walk that tests no lane builds none, and
-    none below n = 7 does.  In its loop the node tests each whole child
-    before calling it: one multiply-add puts cost - best_cost + 2**39
-    into each lane of the child's entry, table[mask ^ 1 << x + 4 | x]
-    (the bounds are stated at _LANE), and one mask tests all 120 top
-    bits: a lane's is clear exactly when its tour costs strictly less
-    than the best so far.  With none clear, no tour of the child can
-    replace the best under the strict ``<``, and the node counts its 120
-    leaves; with any clear, the child runs its block as above.  So each
-    tour still gets its own sum and its own comparison, nothing is
-    pruned, and (cost, path) and the count are those of the blocks
-    alone.
+    A kernel may hold a lane table (_lane_table), whose entry for a last
+    city and five labels holds the suffix costs of all 120 orderings,
+    one to a 40-bit lane of one int (SWAR: Lamport, CACM 18(8), 1975).
+    With one, a node of six labels builds its label mask once, and in
+    its loop tests each whole child before calling it: one multiply-add
+    puts cost - best_cost + 2**39 into each lane of the child's entry,
+    table[mask ^ 1 << x + 4 | x] (the bounds are stated at _LANE), and
+    one mask tests all 120 top bits: a lane's is clear exactly when its
+    tour costs strictly less than the best so far.  With none clear, no
+    tour of the child can replace the best under the strict ``<``, and
+    the node counts its 120 leaves; with any clear, the child runs its
+    block as above.  So each tour still gets its own sum and its own
+    comparison, nothing is pruned, and (cost, path) and the count are
+    those of the blocks alone.
     """
     costs, n = matrix.costs, matrix.n
-    home = [row[0] for row in costs]
-    block = block_for(n)
-    if block:  # t3[y][z][w]: the last three legs y -> z -> w -> 0 of a tour
-        tails = [[row[z] + home[z] for z in range(n)] for row in costs]  # y -> z -> 0
-        t3 = [[[cost + tail for tail in tails[z]] for z, cost in enumerate(row)] for row in costs]
+    home, block, t3, table = kernel
     prefix = [0]
     best_cost = n * MAX_COST + 1
     best_path = None
     visited = 0
-    filtered = n <= _LANES_MAX_N and count >= _LANES_MIN * _lane_entries(n)
-    table = None  # built at the first node that tests a lane
 
     def walk(last, cost, rem, lo, hi):
         # leaves lo .. hi-1 of the orderings of ``rem`` after ``prefix``,
         # whose cost is ``cost``; a child wholly inside them gets [0, size)
-        nonlocal best_cost, best_path, visited, table
+        nonlocal best_cost, best_path, visited
         row = costs[last]
         if len(rem) == 5:  # the block's totals in [lo, hi); a full slice is the tuple itself
             totals = block(costs, t3, cost, row, *rem)[lo:hi]
@@ -358,12 +359,8 @@ def _walk(matrix: CostMatrix, start: int, count: int):
             return
         size = factorial(len(rem) - 1)  # leaves below each child
         first, final = lo // size, (hi - 1) // size
-        # a whole child runs only when a lane of its entry is below the best;
-        # (lo + 119) // 120 is the first whole child, and it ends by hi
-        lanes = size == 120 and filtered and (lo + 119) // 120 < hi // 120
-        if lanes:
-            if table is None:
-                table = _lane_table(costs)
+        lanes = size == 120 and table is not None  # a whole child runs only
+        if lanes:  # when a lane of its entry is below the best
             mask = sum(1 << x + 4 for x in rem)
         for i in range(first, final + 1):
             x = rem[i]
@@ -380,9 +377,9 @@ def _walk(matrix: CostMatrix, start: int, count: int):
 
     walk(0, 0, tuple(range(1, n)), start, start + count)
     # walk recurses, so it is in a reference cycle through its own cell.
-    # Breaking it frees t3 and the table now, instead of at a cyclic
-    # collection that may come many solves later.
-    walk = table = None
+    # Breaking it lets the kernel go with its caller's last reference,
+    # instead of at a cyclic collection that may come many solves later.
+    walk = None
     if visited != count:
         raise ExecutionError(f"scan visited {visited} permutations, expected {count}")
     return best_cost, best_path
@@ -393,16 +390,17 @@ def solve_serial(matrix: CostMatrix) -> SolveResult:
     cheapest; the reference every parallel backend is checked against.
     """
     total = factorial(matrix.n - 1)
-    return SolveResult(*_walk(matrix, 0, total), total)
+    return SolveResult(*_walk(matrix, 0, total, _kernel(matrix, 0, total)), total)
 
 
-def solve_range(matrix: CostMatrix, work: WorkRange) -> SolveResult:
+def solve_range(matrix: CostMatrix, work: WorkRange, kernel=None) -> SolveResult:
     """Best tour among permutations with lexicographic indices in
     [work.start, work.end); the primitive every worker runs.
 
     The walk reaches the first index by factorial arithmetic, so a
     worker pays nothing for the permutations before its range.  An
-    empty range yields the infinite-cost sentinel.
+    empty range yields the infinite-cost sentinel.  A given ``kernel``,
+    _kernel's for ``matrix`` and a range that holds ``work``, is reused.
     """
     n = matrix.n
     total = factorial(n - 1)
@@ -413,12 +411,14 @@ def solve_range(matrix: CostMatrix, work: WorkRange) -> SolveResult:
     if work.count == 0:
         return EMPTY_RESULT
     if not _fault_enabled():
-        return SolveResult(*_walk(matrix, work.start, work.count), work.count)
-    # keep the first costliest tour: a tour of cost c costs n * MAX_COST - c
-    # on the matrix of MAX_COST - c (diagonal 0), whose walk keeps the first cheapest
+        kernel = kernel or _kernel(matrix, work.start, work.count)
+        return SolveResult(*_walk(matrix, work.start, work.count, kernel), work.count)
+    # keep the first costliest tour: a tour of cost c costs n * MAX_COST - c on the matrix
+    # of MAX_COST - c (diagonal 0), whose walk, with its own kernel, keeps the first cheapest
     flipped = CostMatrix([[0 if i == j else MAX_COST - c for j, c in enumerate(row)]
                           for i, row in enumerate(matrix.costs)])
-    best_cost, best_path = _walk(flipped, work.start, work.count)
+    kernel = _kernel(flipped, work.start, work.count)
+    best_cost, best_path = _walk(flipped, work.start, work.count, kernel)
     return SolveResult(n * MAX_COST - best_cost, best_path, work.count)
 
 

@@ -19,7 +19,7 @@ import time
 from _signal import SIGKILL  # signal's enum wrappers cost a hybrid worker's start
 
 from .core import (
-    EMPTY_RESULT, CostMatrix, SolveResult, block_for, path_cost, reduce_results, solve_range,
+    EMPTY_RESULT, CostMatrix, SolveResult, _kernel, path_cost, reduce_results, solve_range,
 )
 from .errors import ExecutionError, ProtocolError, ValidationError
 from .permutation import WorkRange, partition
@@ -55,15 +55,15 @@ def _reply(idx: int, line: str, work: WorkRange, code: int, matrix: CostMatrix) 
     raise ProtocolError(f"worker {idx} sent an unexpected {msg['type']!r} message")
 
 
-def _member_line(matrix: CostMatrix, work: WorkRange) -> str:
-    """The one reply line of a team member: its result, or its error."""
+def _member_line(matrix: CostMatrix, work: WorkRange, kernel) -> str:
+    """The one reply line, result or error, of a member walking with ``kernel``."""
     try:
-        return result_message(solve_range(matrix, work))
+        return result_message(solve_range(matrix, work, kernel))
     except Exception as exc:
         return error_message(f"{type(exc).__name__}: {exc}")
 
 
-def _team_member(matrix: CostMatrix, work: WorkRange, fd: int):
+def _team_member(matrix: CostMatrix, work: WorkRange, kernel, fd: int):
     """Forked child: write one reply line to ``fd`` and leave by posix._exit,
     never returning into the caller's stack nor flushing inherited
     stdio.  Its stdout becomes ``fd`` first: in a hybrid worker the
@@ -71,7 +71,7 @@ def _team_member(matrix: CostMatrix, work: WorkRange, fd: int):
     as soon as the worker dies, not when its team does."""
     try:
         posix.dup2(fd, 1)
-        line = _member_line(matrix, work)
+        line = _member_line(matrix, work, kernel)
         with open(fd, "w", encoding="utf-8") as pipe:
             pipe.write(line)
         posix._exit(0)
@@ -91,16 +91,16 @@ def _reap(idx: int, pid: int) -> int:
     return posix.waitstatus_to_exitcode(waited[1])
 
 
-def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, team=False):
+def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, team=None):
     """Start a child per span by ``start(work, fd) -> pid``, ``fd`` being
     its reply pipe; then, in worker order, read each reply, reap that
     child and check the reply.  The first failure aborts the solve, and
     every exit path closes every pipe and kills the rest and reaps them.
-    In a fork ``team`` the caller is worker 0: spans[0] gets no child,
-    and the caller scans it after the starts and checks its reply line
-    alike.  Otherwise every child is a spawned worker that leads a
-    process group its fork team joins, and every kill is of the group,
-    so a team dies with its worker."""
+    Given a fork ``team``'s kernel, the caller is worker 0: spans[0] gets
+    no child, and the caller scans it with the kernel after the starts
+    and checks its reply line alike.  Otherwise every child is a spawned
+    worker that leads a process group its fork team joins, and every
+    kill is of the group, so a team dies with its worker."""
     first = 1 if team else 0
     if spans[first:] and not (hasattr(posix, "fork") and hasattr(posix, "posix_spawnp")):
         raise ExecutionError(f"fork and posix_spawn unavailable on {sys.platform}")
@@ -117,7 +117,7 @@ def _run_workers(matrix: CostMatrix, spans: list[WorkRange], start, team=False):
                     posix.close(fd)
                 raise ExecutionError(f"failed to spawn worker {idx}: {exc}") from exc
             posix.close(pipe[1])
-        results = [_reply(0, _member_line(matrix, spans[0]), spans[0], 0, matrix)] if team else []
+        results = [_reply(0, _member_line(matrix, spans[0], team), spans[0], 0, matrix)] if team else []
         for idx, ((pid, fd), work) in enumerate(zip(workers, spans[first:]), first):
             with open(fd, encoding="utf-8", errors="replace", closefd=False) as reply:
                 line = reply.readline()
@@ -148,11 +148,11 @@ def solve_interval_team(matrix: CostMatrix, work: WorkRange, threads: int) -> So
     workers.  The interval is split by the same quotient/remainder rule
     as the global partitioner, so a hybrid worker's local split lines
     up exactly with the flat global partition.  The caller is member 0:
-    it forks members 1 .. threads-1 and scans the first range inline,
-    having made core's block first if n needs it, so no member does."""
+    it builds the interval's one kernel, forks members 1 .. threads-1,
+    which inherit it, and scans the first range inline with it."""
     sub = [WorkRange(work.start + r.start, work.start + r.end) for r in partition(work.count, threads)]
-    block_for(matrix.n)
+    kernel = _kernel(matrix, work.start, work.count)
     # posix.fork() is 0 only in the child, which _team_member never lets return
     return reduce_results(_run_workers(
-        matrix, sub, lambda w, fd: posix.fork() or _team_member(matrix, w, fd), team=True
+        matrix, sub, lambda w, fd: posix.fork() or _team_member(matrix, w, kernel, fd), kernel
     ))

@@ -10,7 +10,7 @@ runs that code first on sys.meta_path, and calls main(): it runs no
 neither a package module nor the block, and imports nothing from the
 caller's cwd.  Started with no code, as by TSPBENCH_WORKER_BIN, it finds
 the package through the PYTHONPATH that backends._worker_env sets, and
-compiles the block at its first task of n >= 6 cities (core.block_for).
+compiles the block at its first task of n >= 6 cities (core._kernel).
 Whatever the map holds, a worker imports only what it runs: the kernel's
 package modules (core, permutation, errors), protocol, this one and,
 given a map, block5; a hybrid worker also imports team, and no worker

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_ones
+from conftest import KERNEL_PATHS, all_ones, kernel_path
 from tspbench import backends, core, team
 from tspbench.backends import (
     BackendSpec,
@@ -21,7 +21,7 @@ from tspbench.backends import (
     solve_shared_memory,
 )
 from tspbench.cli import cli_dispatch
-from tspbench.core import FAULT_ENV_VAR, SolveResult, solve_range, solve_serial
+from tspbench.core import FAULT_ENV_VAR, SolveResult, reduce_results, solve_range, solve_serial
 from tspbench.errors import ExecutionError, ProtocolError, ValidationError
 from tspbench.instances import format_instance, generate_instance
 from tspbench.permutation import WorkRange, factorial, partition
@@ -74,8 +74,8 @@ class TestWorkerCount:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_team_member_over_count_is_execution_error(self, four_city_matrix, monkeypatch, threads):
         # fork children inherit the patched scan, so every team member over-counts
-        def over_counting(matrix, work):
-            result = solve_range(matrix, work)
+        def over_counting(matrix, work, kernel):
+            result = solve_range(matrix, work, kernel)
             return SolveResult(result.optimal_cost, result.optimal_path, result.evaluated + 1)
 
         monkeypatch.setattr("tspbench.team.solve_range", over_counting)
@@ -90,10 +90,10 @@ def assert_no_child_left():
 
 class TestForkTeamFailures:
     def test_member_exception_names_the_worker(self, four_city_matrix, monkeypatch):
-        def failing_second_range(matrix, work):
+        def failing_second_range(matrix, work, kernel):
             if work.start:
                 raise RuntimeError("boom")
-            return solve_range(matrix, work)
+            return solve_range(matrix, work, kernel)
 
         monkeypatch.setattr("tspbench.team.solve_range", failing_second_range)
         with pytest.raises(ExecutionError, match="worker 1 failed: RuntimeError: boom"):
@@ -102,10 +102,10 @@ class TestForkTeamFailures:
 
     def test_killed_member_is_reported_and_reaped(self, four_city_matrix, monkeypatch):
         # member 0 is this process, so only forked member 1 kills itself
-        def killed(matrix, work):
+        def killed(matrix, work, kernel):
             if work.start != 0:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return solve_range(matrix, work)
+            return solve_range(matrix, work, kernel)
 
         monkeypatch.setattr("tspbench.team.solve_range", killed)
         with pytest.raises(ExecutionError, match="worker 1 exited without a result"):
@@ -113,7 +113,7 @@ class TestForkTeamFailures:
         assert_no_child_left()
 
     def test_failure_kills_members_still_running(self, four_city_matrix, monkeypatch):
-        def first_fails_rest_hang(matrix, work):
+        def first_fails_rest_hang(matrix, work, kernel):
             if work.start == 0:
                 raise RuntimeError("boom")
             time.sleep(60)
@@ -128,7 +128,7 @@ class TestForkTeamFailures:
     def test_inline_member_failure_kills_forked_members(self, four_city_matrix, monkeypatch):
         raised_in = []  # a forked member's appends stay in its own copy
 
-        def inline_fails_rest_hang(matrix, work):
+        def inline_fails_rest_hang(matrix, work, kernel):
             if work.start == 0:
                 raised_in.append(os.getpid())
                 raise RuntimeError("boom")
@@ -146,10 +146,10 @@ class TestForkTeamFailures:
     def test_inline_member_error_is_cut_and_exits_2(
         self, tmp_path, monkeypatch, capsys, four_city_matrix, threads
     ):
-        def inline_fails(matrix, work):
+        def inline_fails(matrix, work, kernel):
             if work.start == 0:
                 raise RuntimeError("x" * 300)
-            return solve_range(matrix, work)
+            return solve_range(matrix, work, kernel)
 
         monkeypatch.setattr("tspbench.team.solve_range", inline_fails)
         instance = tmp_path / "m.txt"
@@ -161,7 +161,7 @@ class TestForkTeamFailures:
         assert_no_child_left()
 
     def test_inline_member_interrupt_propagates_and_kills_members(self, four_city_matrix, monkeypatch):
-        def inline_interrupted_rest_hang(matrix, work):
+        def inline_interrupted_rest_hang(matrix, work, kernel):
             if work.start == 0:
                 raise KeyboardInterrupt
             time.sleep(60)
@@ -232,6 +232,34 @@ class TestForkTeamShape:
         assert solve_interval_team(matrix, work, 2) == solve_range(matrix, work)
         assert forks == [(int(compiled), compiled)]
         assert (core._block is not None) == compiled
+
+    @pytest.mark.parametrize("n,table", [(8, False), (9, True), (10, True)])
+    def test_team_builds_one_kernel_for_its_span_before_its_fork(self, monkeypatch, n, table):
+        # A team of 2 builds the one kernel of its whole span before it
+        # forks, and its members walk with it: a forked member's build
+        # fails the solve, and the caller's would be counted after the
+        # fork.  The team's gate weighs the table against the span, so an
+        # n = 9 team's halves take the lanes path, though a half alone,
+        # 20,160 leaves, is below the threshold; no n = 8 range reaches it.
+        matrix = generate_instance(n, n, symmetric=False)
+        work = WorkRange(0, factorial(n - 1))
+        expected = solve_range(matrix, work)
+        first = partition(work.count, 2)[0]
+        half = core._kernel(matrix, first.start, first.count)
+        caller, built, kernel = os.getpid(), [], core._kernel
+
+        def spy(matrix, start, count):
+            if os.getpid() != caller:
+                raise RuntimeError("a team member built its own kernel")
+            built.append(kernel(matrix, start, count))
+            return built[-1]
+
+        monkeypatch.setattr(core, "_kernel", spy)
+        monkeypatch.setattr(team, "_kernel", spy)
+        forks = counting_forks(monkeypatch, lambda: [k[3] is not None for k in built])
+        assert solve_interval_team(matrix, work, 2) == expected
+        assert forks == [[table]] and len(built) == 1
+        assert (half[3] is not None) == (n == 10)
 
 
 class TestSharedMemory:
@@ -613,6 +641,24 @@ class TestFaultHook:
         assert faulty != healthy
         # serial is the reference and must stay immune
         assert solve_serial(four_city_matrix).optimal_cost == 80
+
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_fork_team_under_the_fault_is_the_range_scan(self, monkeypatch, n, path):
+        # Each member keeps the costliest tour of its range and the team
+        # the cheapest of those, so the team is the reduction of its
+        # members' range scans, exactly, when each member walks the
+        # flipped matrix with its own kernel, not the healthy one its team
+        # built.  The span's ends and most members' ranges cut a block.
+        monkeypatch.setenv(FAULT_ENV_VAR, "1")
+        matrix = generate_instance(n, n, symmetric=False)
+        work = WorkRange(1234, factorial(n - 1) - 1234)
+        with kernel_path(path):
+            for threads in (2, 3):
+                parts = partition(work.count, threads)
+                expected = reduce_results(solve_range(matrix, WorkRange(
+                    work.start + r.start, work.start + r.end)) for r in parts)
+                assert solve_interval_team(matrix, work, threads) == expected, threads
 
     def test_fault_propagates_into_worker_processes(self, four_city_matrix, monkeypatch):
         monkeypatch.setenv(FAULT_ENV_VAR, "1")

@@ -263,7 +263,7 @@ def test_shipped_worker_holds_the_block_before_its_first_scan(monkeypatch, tmp_p
         "def first_task():\n"
         "    held = core._block is not None\n"
         f"    result = worker._run_task(Task(8, {matrix.costs!r}, 0, 2520, {2 if team else 1}))\n"
-        "    print(held, core.block_for(8) is core._block, tuple(result), compiled)\n"
+        "    print(held, core._block5() is core._block, tuple(result), compiled)\n"
         "    return 0\n"
         "worker.run_worker = first_task\n"
         "worker.main()"
